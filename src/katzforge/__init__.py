@@ -3,7 +3,7 @@
 A library and CLI for the game in which each agent allocates a bounded
 resource budget over permitted outgoing edges to maximize its own Katz
 centrality: exact best responses, sequential and modified best-response
-dynamics, fixed-point computation of the unique equilibrium centralities,
+dynamics, exact computation of the unique equilibrium centralities,
 Nash certification, and structural analysis of equilibrium networks.
 """
 
@@ -21,7 +21,6 @@ from .analysis import (
     export_condensation_dot,
     run_structure_checks,
     scc_condensation,
-    tarjan_scc,
 )
 from .centrality import (
     WalkDecomposition,
@@ -127,7 +126,6 @@ __all__ = [
     "write_trace_csv",
     "write_trace_allocations_json",
     # analysis
-    "tarjan_scc",
     "scc_condensation",
     "SccComponent",
     "CondensationGraph",

@@ -15,11 +15,8 @@ import numpy as np
 
 from .centrality import katz_solve
 from .game import DEFAULT_TOL
-from .instance import AllocationProfile, GameInstance
+from .instance import BUDGET_EQ_TOL, AllocationProfile, GameInstance
 
-# Budgets are inputs and compared exactly; centralities are computed and
-# compared at the game-level tolerance.
-BUDGET_EQ_TOL = 1e-12
 DEFAULT_CYCLE_BOUND = 12
 
 PASS = "pass"
@@ -27,54 +24,11 @@ FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
 
-def tarjan_scc(n: int, successors: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan decomposition; components and members come back sorted
-    so the ordering is deterministic (components by smallest member)."""
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    components: list[list[int]] = []
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ptr < len(successors[v]):
-                u = successors[v][ptr]
-                ptr += 1
-                if index[u] == -1:
-                    work[-1] = (v, ptr)
-                    work.append((u, 0))
-                    advanced = True
-                    break
-                if on_stack[u]:
-                    lowlink[v] = min(lowlink[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                components.append(sorted(comp))
-    return sorted(components, key=min)
+def _support_digraph(w: AllocationProfile) -> nx.DiGraph:
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(w.n))
+    digraph.add_edges_from(w.positive_edges())
+    return digraph
 
 
 @dataclass(frozen=True)
@@ -111,23 +65,17 @@ def scc_condensation(
 ) -> CondensationGraph:
     """Condensation of the positive-weight digraph of ``w``; when budgets and
     centralities are supplied, components are annotated with their common
-    values (or flagged non-uniform)."""
-    n = w.n
-    successors: list[list[int]] = [
-        sorted(np.nonzero(w.weights[i] > 0)[0].tolist()) for i in range(n)
-    ]
-    raw = tarjan_scc(n, successors)
+    values (or flagged non-uniform).  Members come back sorted and components
+    ordered by smallest member, so the numbering is deterministic."""
+    # disjoint sorted lists compare by their first (smallest) member
+    raw = sorted(sorted(comp) for comp in nx.strongly_connected_components(_support_digraph(w)))
 
-    comp_index = {}
-    for k, comp in enumerate(raw):
-        for v in comp:
-            comp_index[v] = k
-    edges = set()
-    for i in range(n):
-        for j in successors[i]:
-            a, b = comp_index[i], comp_index[j]
-            if a != b:
-                edges.add((a, b))
+    comp_index = {v: k for k, comp in enumerate(raw) for v in comp}
+    edges = {
+        (comp_index[i], comp_index[j])
+        for i, j in w.positive_edges()
+        if comp_index[i] != comp_index[j]
+    }
     has_out = {a for a, _ in edges}
 
     components = []
@@ -295,9 +243,7 @@ def check_cycle_parity(
     if not g.topology.is_symmetric():
         return CheckResult(name, INAPPLICABLE, details={"reason": "underlying topology not symmetric"})
     c = _centralities(w, centralities)
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(range(g.n))
-    digraph.add_edges_from(w.positive_edges())
+    digraph = _support_digraph(w)
 
     def class_witness(cycle, members, which):
         buds = [g.budgets[v] for v in members]

@@ -1,8 +1,8 @@
 """Command-line entry point: gen / equilibrium / run / verify / analyze.
 
 Exit codes: 0 success or converged, 2 step limit reached, 3 infeasible
-input, 1 usage or I/O error.  Tolerance precedence: --tol flag, then the
-KATZFORGE_TOL environment variable, then 1e-10.
+input, 1 usage, I/O or numerical-check error.  Tolerance precedence: --tol
+flag, then the KATZFORGE_TOL environment variable, then 1e-10.
 """
 
 from __future__ import annotations
@@ -318,7 +318,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
     except click.Abort:
         return EXIT_ERROR
-    except (OSError, ParseError, ValueError) as exc:
+    except (OSError, ParseError, ValueError, ArithmeticError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_ERROR
     return EXIT_OK

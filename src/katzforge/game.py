@@ -7,7 +7,6 @@ every Nash profile, which is what certification checks against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,10 @@ from .instance import (
 DEFAULT_TOL = 1e-10
 # Relative tolerance for treating best-response scores as tied.
 TIE_REL_TOL = 1e-10
+# Policy iteration switches an agent's successor only for a gain above this
+# many units of roundoff of max(c); with a bare ">", rounding ties can make
+# agents switch back and forth forever.
+SWITCH_MARGIN_ULPS = 4
 
 
 def v_map(g: GameInstance, x: np.ndarray) -> np.ndarray:
@@ -40,7 +43,11 @@ def v_map(g: GameInstance, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EquilibriumCertificate:
-    """Unique equilibrium centralities c* with the fixed-point evidence."""
+    """Unique equilibrium centralities c* with the fixed-point evidence.
+
+    ``iterations`` counts policy-evaluation rounds; ``residual`` is the
+    checked max |v(c*) - c*|.
+    """
 
     c_star: np.ndarray
     iterations: int
@@ -60,41 +67,42 @@ class EquilibriumCertificate:
         }
 
 
-def iteration_bound(g: GameInstance, tol: float) -> int:
-    """A-priori cap on fixed-point iterations from the contraction rate."""
-    bm = g.b_max
-    bnorm = max(g.budgets)
-    return max(1, math.ceil(math.log(tol * (1 - bm) / bnorm) / math.log(bm)) + 1)
-
-
 def equilibrium_centralities(g: GameInstance, tol: float = DEFAULT_TOL) -> EquilibriumCertificate:
-    """Iterate x <- v(x) from 0 until the step size guarantees that the
-    iterate is within ``tol`` of the fixed point c* (a-posteriori contraction
-    bound: ||x - c*|| <= B_M/(1-B_M) * ||step||)."""
+    """Exact c* by Howard policy iteration.
+
+    c* is the value of the decision problem in which agent i picks one
+    successor j, earns B_i and is discounted by B_i.  A policy puts B_i on one
+    successor per agent; its value is that single-edge profile's Katz
+    centrality.  Each round, every agent whose best underlying neighbor beats
+    its successor by more than a rounding margin switches to the
+    smallest-index argmax.  The result is checked: its residual
+    max |v(c) - c| must be within ``tol``, else ArithmeticError.
+    """
     require_valid(g)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    bm = g.b_max
-    threshold = tol * (1 - bm) / bm
-    cap = iteration_bound(g, tol) + 8
-
-    x = np.zeros(g.n)
-    iterations = 0
+    support = g.topology.support_mask
+    agents = np.arange(g.n)
+    succ = support.argmax(axis=1)  # any start will do: first neighbor
+    rounds = 0
     while True:
-        x_next = v_map(g, x)
-        iterations += 1
-        # monotone from below: v is monotone and x starts at 0
-        assert np.all(x_next >= x)
-        diff = float(np.max(np.abs(x_next - x)))
-        x = x_next
-        if diff <= threshold:
+        policy = np.zeros((g.n, g.n))
+        policy[agents, succ] = g.budget_array
+        c = katz_solve(policy)
+        rounds += 1
+        scores = np.where(support, c, -np.inf)
+        best = scores.argmax(axis=1)
+        margin = SWITCH_MARGIN_ULPS * np.finfo(float).eps * c.max()
+        switch = scores[agents, best] > c[succ] + margin
+        if not switch.any():
             break
-        if iterations > cap:
-            raise ArithmeticError("fixed-point iteration exceeded its a-priori bound")
+        succ = np.where(switch, best, succ)
 
-    residual = float(np.max(np.abs(v_map(g, x) - x)))
+    residual = float(np.max(np.abs(v_map(g, c) - c)))
+    if residual > tol:
+        raise ArithmeticError(f"equilibrium residual {residual} exceeds tol {tol}")
     return EquilibriumCertificate(
-        c_star=x, iterations=iterations, residual=residual, contraction_rate=bm, tol=tol
+        c_star=c, iterations=rounds, residual=residual, contraction_rate=g.b_max, tol=tol
     )
 
 

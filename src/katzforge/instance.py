@@ -13,7 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Max-budget classification treats budgets within this of B_M as maximal.
+# Budgets are inputs and compared within this (max-budget classification,
+# structure checks); computed centralities use the game-level tolerance.
 BUDGET_EQ_TOL = 1e-12
 
 

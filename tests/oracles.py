@@ -1,14 +1,19 @@
 """Independent oracles used to freeze expected values.
 
-These deliberately avoid the linear-solve route used by the package: walk
-masses are obtained by literal path enumeration (exponential, small cases)
-and by per-length series accumulation (any depth), so solver results can be
-checked against genuinely different computations.
+These deliberately avoid the routes used by the package: walk masses are
+obtained by literal path enumeration (exponential, small cases) and by
+per-length series accumulation (any depth), c* by value iteration rather
+than policy iteration, and strongly connected components by transitive
+closure, so results can be checked against genuinely different computations.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from katzforge import GameInstance, v_map
 
 
 def brute_walk_sums(a: np.ndarray, i: int, max_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,3 +91,36 @@ def series_pq_per_length(a: np.ndarray, i: int, max_len: int) -> tuple[np.ndarra
 
 def series_tail_bound(b_max: float, depth: int) -> float:
     return b_max ** (depth + 1) / (1.0 - b_max)
+
+
+def value_iteration_oracle(g: GameInstance, tol: float) -> np.ndarray:
+    """c* within ``tol`` by iterating x <- v(x) from 0 until the a-posteriori
+    contraction bound ||x - c*|| <= B_M/(1-B_M) * ||step|| drops below tol.
+
+    The stopping threshold falls below one ulp of c* as B_M nears 1, so keep
+    B_M <= 0.99; the iteration cap turns a stall into a failure, not a hang.
+    """
+    bm = g.b_max
+    threshold = tol * (1 - bm) / bm
+    cap = max(1, math.ceil(math.log(threshold) / math.log(bm)) + 1) + 8
+    x = np.zeros(g.n)
+    for _ in range(cap + 1):
+        x_next = v_map(g, x)
+        assert np.all(x_next >= x)  # monotone from below: v is monotone, x starts at 0
+        step = float(np.max(np.abs(x_next - x)))
+        x = x_next
+        if step <= threshold:
+            return x
+    raise ArithmeticError("value iteration exceeded its a-priori bound")
+
+
+def same_scc_oracle(a: np.ndarray) -> np.ndarray:
+    """Boolean matrix: i and j share a strongly connected component of the
+    digraph with edges a > 0 iff each reaches the other (transitive closure
+    by repeated squaring of the reflexive reachability matrix)."""
+    reach = (a > 0) | np.eye(a.shape[0], dtype=bool)
+    while True:
+        closed = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+        if np.array_equal(closed, reach):
+            return reach & reach.T
+        reach = closed

@@ -16,9 +16,9 @@ from katzforge import (
     run_brd,
     run_structure_checks,
     scc_condensation,
-    tarjan_scc,
     topology_from_edges,
 )
+from oracles import same_scc_oracle
 
 REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
 
@@ -68,18 +68,18 @@ class TestTarjan:
         cond = scc_condensation(AllocationProfile(w))
         assert [c.members for c in cond.components] == [(0, 1, 2)]
 
-    def test_matches_networkx_on_random_digraphs(self):
+    def test_matches_reachability_oracle_on_random_digraphs(self):
         for seed in range(50):
             g = random_game(seed, n_max=15)
             w = random_feasible_profile(g, seed + 500)
-            ours = {frozenset(c) for c in tarjan_scc(
-                g.n, [sorted(np.nonzero(w.weights[i] > 0)[0].tolist()) for i in range(g.n)]
-            )}
-            digraph = nx.DiGraph()
-            digraph.add_nodes_from(range(g.n))
-            digraph.add_edges_from(w.positive_edges())
-            theirs = {frozenset(c) for c in nx.strongly_connected_components(digraph)}
-            assert ours == theirs
+            cond = scc_condensation(w)
+            members = [list(c.members) for c in cond.components]
+            assert all(m == sorted(m) for m in members)
+            assert [m[0] for m in members] == sorted(m[0] for m in members)
+            comp = np.array([cond.component_of(v) for v in range(g.n)])
+            np.testing.assert_array_equal(comp[:, None] == comp[None, :], same_scc_oracle(w.weights))
+            expected_edges = {(comp[i], comp[j]) for i, j in w.positive_edges() if comp[i] != comp[j]}
+            assert cond.edges == expected_edges
 
     def test_condensation_is_acyclic(self):
         for seed in range(30):

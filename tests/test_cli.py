@@ -75,6 +75,24 @@ class TestEquilibrium:
     def test_missing_file_is_usage_error(self):
         assert main(["equilibrium", "/nonexistent.json"]) == 1
 
+    @pytest.mark.parametrize("b", ["0.999", "0.9999"])
+    def test_near_one_budgets_certified(self, tmp_path, b):
+        inst, out = tmp_path / "g.json", tmp_path / "cert.json"
+        assert main(["gen", "--n", "300", "--density", "0.5", "--self-loops",
+                     "--budgets", f"{b}:{b}", "--seed", "3", "-o", str(inst)]) == 0
+        assert main(["equilibrium", str(inst), "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert {"c_star", "iterations", "residual", "contraction_rate"} <= set(doc)
+        assert doc["residual"] <= doc["meta"]["tol"]
+        b = float(b)
+        assert np.max(np.abs(np.array(doc["c_star"]) - b / (1 - b))) <= 1e-10
+
+    def test_residual_above_tol_is_clear_error(self, tmp_path, capsys):
+        inst = tmp_path / "g.json"
+        assert main(["gen", "--n", "10", "--seed", "1", "-o", str(inst)]) == 0
+        assert main(["equilibrium", str(inst), "--tol", "1e-18"]) == 1
+        assert "error: equilibrium residual" in capsys.readouterr().err
+
 
 class TestRun:
     def test_modified_mode_converges(self, i3_file, tmp_path):

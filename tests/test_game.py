@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from helpers import complete_instance, find_ne, random_feasible_profile, random_game
 from katzforge import (
     AllocationProfile,
+    GameInstance,
     best_response,
     best_response_oracle,
     equilibrium_centralities,
+    generate_random_instance,
     is_best_response,
     is_nash,
     katz_solve,
@@ -16,7 +18,7 @@ from katzforge import (
     unilateral_swap_check,
     v_map,
 )
-from katzforge.game import iteration_bound
+from oracles import value_iteration_oracle
 
 REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
 REPORTED_C_STAR = np.array([1.15] * 3 + [4.77] * 3 + [3.98] * 3 + [0.98])
@@ -57,13 +59,51 @@ class TestEquilibriumCentralities:
         assert np.max(np.abs(cert.c_star - REPORTED_C_STAR) / REPORTED_C_STAR) < 0.05
         assert cert.contraction_rate == 0.83
 
-    def test_iteration_bound_and_residual(self):
-        for seed in range(20):
-            g = random_game(seed, n_max=15)
-            tol = 1e-10
+    def test_residual_and_value_iteration_agreement(self):
+        tol = 1e-10
+        for seed in range(40):
+            g = random_game(seed, n_max=15, budget_hi=0.99)
             cert = equilibrium_centralities(g, tol=tol)
-            assert cert.iterations <= iteration_bound(g, tol) + 1
             assert cert.residual <= tol
+            assert np.max(np.abs(cert.c_star - value_iteration_oracle(g, tol))) <= 2 * tol
+
+    @pytest.mark.parametrize("b", [0.999, 0.9999])
+    @pytest.mark.parametrize("n", [10, 100, 300])
+    def test_near_one_budgets_closed_form(self, n, b):
+        g = generate_random_instance(n, 0.5, True, (b, b), 3)
+        cert = equilibrium_centralities(g)
+        assert cert.residual <= cert.tol
+        assert np.max(np.abs(cert.c_star - b / (1 - b))) <= 1e-10
+
+    def test_terminates_on_two_level_near_one_budgets(self):
+        # rounding ties between the two levels made a bare ">" switch rule
+        # cycle forever on some of these instances
+        tol = 1e-10
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(10, 60))
+            g = generate_random_instance(
+                n, float(rng.uniform(0.1, 0.6)), bool(rng.random() < 0.5), (0.99, 0.99), seed
+            )
+            g = GameInstance(g.topology, tuple(rng.choice([0.99, 0.999], n).tolist()))
+            cert = equilibrium_centralities(g, tol=tol)
+            assert cert.residual <= tol
+
+    @given(seed=st.integers(0, 500), b_hi=st.sampled_from([0.85, 0.99, 0.999, 0.9999]))
+    @settings(max_examples=60, deadline=None)
+    def test_argmax_profile_of_c_star_is_nash(self, seed, b_hi):
+        g = random_game(seed, n_max=15, budget_hi=b_hi)
+        c = equilibrium_centralities(g).c_star
+        w = np.zeros((g.n, g.n))
+        for i in range(g.n):
+            nbrs = g.topology.out_neighbors(i)
+            w[i, max(nbrs, key=lambda j: c[j])] = g.budgets[i]
+        assert is_nash(g, AllocationProfile(w)).is_nash
+
+    def test_residual_above_tol_raises(self):
+        g = random_game(3, n_max=10)
+        with pytest.raises(ArithmeticError, match="exceeds tol"):
+            equilibrium_centralities(g, tol=1e-18)
 
     def test_certificate_is_fixed_point_within_tol(self):
         g = random_game(3, n_max=10)
