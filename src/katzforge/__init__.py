@@ -25,7 +25,6 @@ from .analysis import (
 from .centrality import (
     WalkDecomposition,
     fractional_linear_centrality,
-    katz_series,
     katz_solve,
     walk_decomposition,
 )
@@ -35,8 +34,6 @@ from .dynamics import (
     BrdTrace,
     Scheduler,
     run_brd,
-    run_modified_brd,
-    select_agents_with_improvement,
     write_trace_allocations_json,
     write_trace_csv,
 )
@@ -45,12 +42,9 @@ from .game import (
     EquilibriumCertificate,
     NashVerdict,
     best_response,
-    best_response_oracle,
     equilibrium_centralities,
-    is_best_response,
+    improvement_gaps,
     is_nash,
-    strict_better_response_exists,
-    unilateral_swap_check,
     v_map,
 )
 from .instance import (
@@ -99,30 +93,24 @@ __all__ = [
     "topology_from_edges",
     # centrality
     "katz_solve",
-    "katz_series",
     "walk_decomposition",
     "fractional_linear_centrality",
     "WalkDecomposition",
     # game
     "v_map",
+    "improvement_gaps",
     "equilibrium_centralities",
     "EquilibriumCertificate",
     "best_response",
-    "best_response_oracle",
     "BestResponseResult",
-    "strict_better_response_exists",
-    "is_best_response",
     "is_nash",
     "NashVerdict",
-    "unilateral_swap_check",
     # dynamics
     "Scheduler",
     "BrdConfig",
     "BrdStep",
     "BrdTrace",
     "run_brd",
-    "run_modified_brd",
-    "select_agents_with_improvement",
     "write_trace_csv",
     "write_trace_allocations_json",
     # analysis

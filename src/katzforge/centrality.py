@@ -55,21 +55,6 @@ def katz_solve(w: AllocationProfile | np.ndarray) -> np.ndarray:
     return _solve_checked(np.eye(n) - a, a @ np.ones(n))
 
 
-def katz_series(w: AllocationProfile | np.ndarray, depth: int) -> np.ndarray:
-    """Truncated walk series sum_{k=1..depth} A^k 1, the independent oracle
-    for ``katz_solve``.  Per-entry truncation error is at most
-    B_M^(depth+1) / (1 - B_M) where B_M bounds the row sums."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    a = _weights(w)
-    term = a @ np.ones(a.shape[0])
-    acc = term.copy()
-    for _ in range(depth - 1):
-        term = a @ term
-        acc += term
-    return acc
-
-
 @dataclass(frozen=True)
 class WalkDecomposition:
     """Per-agent decomposition of opponents' walk mass around a focal agent i.

@@ -24,7 +24,6 @@ from .dynamics import (
     BrdConfig,
     Scheduler,
     run_brd,
-    run_modified_brd,
     write_trace_allocations_json,
     write_trace_csv,
 )
@@ -67,13 +66,17 @@ def _resolve_tol(flag: float | None) -> float:
     return tol
 
 
-def _meta(g: GameInstance | None = None, seed: int | None = None, tol: float | None = None) -> dict:
-    meta: dict = {"tool": "katzforge", "version": __version__}
-    if g is not None:
-        meta["instance_sha256"] = instance_digest(g)
-    meta["seed"] = seed
-    meta["tol"] = tol
-    return meta
+def _meta(g: GameInstance, seed: int | None, tol: float, **extra) -> dict:
+    """Reproducibility header: tool, version, instance digest, seed, tol,
+    then ``extra`` in the order given."""
+    return {
+        "tool": "katzforge",
+        "version": __version__,
+        "instance_sha256": instance_digest(g),
+        "seed": seed,
+        "tol": tol,
+        **extra,
+    }
 
 
 def _read_instance(path: str) -> GameInstance:
@@ -94,6 +97,16 @@ def _parse_pair(spec: str, what: str) -> tuple[float, float]:
         return float(lo), float(hi)
     except ValueError:
         raise click.UsageError(f"{what} must look like LO:HI, got {spec!r}")
+
+
+def _parse_seeds(spec: str) -> range:
+    try:
+        lo, hi = (int(s) for s in spec.split(":"))
+    except ValueError:
+        raise click.UsageError(f"--seeds must look like LO:HI with integers, got {spec!r}")
+    if lo > hi:
+        raise click.UsageError(f"--seeds LO:HI needs LO <= HI, got {spec!r}")
+    return range(lo, hi + 1)
 
 
 def _parse_scheduler(spec: str, seed: int) -> Scheduler:
@@ -168,8 +181,8 @@ def equilibrium(instance: str, tol: float | None, out: str | None) -> None:
 @click.option("--tol", type=float, default=None, help="Convergence tolerance on the v-residual.")
 @click.option("--lazy/--no-lazy", default=True, show_default=True, help="Skip rewriting rows that already best-respond.")
 @click.option("--full-trace", is_flag=True, help="Also write per-step allocation rows to a sibling .alloc.json file.")
-@click.option("--seeds", "seeds_spec", default=None, help="Batch mode: run seeds A:B inclusive, one trace per seed.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Parallel workers in batch mode.")
+@click.option("--seeds", "seeds_spec", default=None, help="Batch mode: run integer seeds LO:HI inclusive (LO <= HI), one trace per seed.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel workers in batch mode.")
 @click.option("-o", "--out", type=click.Path(dir_okay=False), required=True, help="Trace CSV path (batch mode appends -seedN).")
 def run(
     instance: str,
@@ -203,19 +216,17 @@ def run(
         if not is_feasible(g, w0):
             raise FeasibilityError("initial profile is infeasible for this instance")
         cfg = BrdConfig(scheduler=scheduler, max_steps=max_steps, tol=tol, lazy=lazy, mode=mode)
-        trace = run_modified_brd(g, w0, cfg) if mode == "modified" else run_brd(g, w0, cfg)
-        meta = {
-            "tool": "katzforge",
-            "version": __version__,
-            "instance_sha256": instance_digest(g),
-            "seed": run_seed,
-            "tol": tol,
-            "scheduler": scheduler_spec,
-            "mode": mode,
-            "w0": w0_spec,
-            "lazy": lazy,
-            "status": trace.status,
-        }
+        trace = run_brd(g, w0, cfg)
+        meta = _meta(
+            g,
+            seed=run_seed,
+            tol=tol,
+            scheduler=scheduler_spec,
+            mode=mode,
+            w0=w0_spec,
+            lazy=lazy,
+            status=trace.status,
+        )
         write_trace_csv(trace, out_path, meta)
         if full_trace:
             write_trace_allocations_json(trace, out_path.with_suffix(".alloc.json"), meta)
@@ -226,9 +237,8 @@ def run(
         if seeds_spec is None:
             statuses = [one_run(seed, Path(out))]
         else:
-            lo, hi = _parse_pair(seeds_spec, "--seeds")
             base = Path(out)
-            seed_list = list(range(int(lo), int(hi) + 1))
+            seed_list = list(_parse_seeds(seeds_spec))
             paths = [base.with_name(f"{base.stem}-seed{s}{base.suffix}") for s in seed_list]
             if jobs > 1:
                 with ThreadPoolExecutor(max_workers=jobs) as pool:

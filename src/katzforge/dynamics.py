@@ -1,9 +1,12 @@
-"""Sequential best-response dynamics, the finite-time modified variant,
-schedulers, and trace recording.
+"""Best-response dynamics, schedulers, and trace recording.
 
-Convergence is declared on the v-residual of the current profile, never on
-profile stability: profiles may keep moving between tied best responses while
-the centralities are already at the fixed point.
+One loop, ``run_brd``, runs both processes; ``BrdConfig.mode`` picks which.
+Standard BRD lets the scheduled agent best-respond; the finite-time modified
+variant schedules only agents with a strict better response and requires
+each move to raise the mover's centrality.  Both stop on the improvement gaps
+v(c(w)) - c(w) of the current profile, never on profile stability: profiles
+may keep moving between tied best responses while the centralities are
+already at the fixed point.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .centrality import katz_solve
-from .game import DEFAULT_TOL, best_response, v_map
+from .game import DEFAULT_TOL, best_response, improvement_gaps
 from .instance import AllocationProfile, GameInstance, require_feasible, require_valid
 
 # Default step limit for standard BRD, per agent (convergence is asymptotic).
@@ -161,83 +163,37 @@ def _record(step: int, agent: int | None, row: np.ndarray | None, c: np.ndarray,
     return BrdStep(step=step, agent=agent, row=row, centralities=c, residual=residual)
 
 
-def select_agents_with_improvement(
-    g: GameInstance, w: AllocationProfile, tol: float = DEFAULT_TOL
-) -> set[int]:
-    """Agents holding a strict better response: v_i(c(w)) > c_i(w) + tol."""
-    require_feasible(g, w)
-    c = katz_solve(w)
-    gaps = v_map(g, c) - c
-    return {i for i in range(g.n) if gaps[i] > tol}
-
-
 def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None) -> BrdTrace:
-    """Sequential BRD: the scheduled agent replaces its row with the canonical
-    best response (kept as-is in lazy mode when already best).  Stops when the
-    v-residual of the current profile drops to ``cfg.tol`` or at the step limit.
+    """Best-response dynamics in ``cfg.mode``.
+
+    Standard: the scheduled agent replaces its row with the canonical best
+    response (kept as-is in lazy mode when already best); the run converges
+    when the v-residual drops to ``cfg.tol`` and stops at 500*n steps unless
+    ``cfg.max_steps`` says otherwise.  Modified: only agents whose improvement
+    gap exceeds ``cfg.tol`` are scheduled, and each move must strictly raise
+    the mover's centrality (else ArithmeticError), so the run converges, with
+    no gap above ``cfg.tol``, in finitely many steps; it has no default limit.
     """
     cfg = cfg or BrdConfig()
     require_valid(g)
     require_feasible(g, w0)
+    modified = cfg.mode == "modified"
+    limit = cfg.max_steps
+    if limit is None and not modified:
+        limit = STEP_LIMIT_FACTOR * g.n
 
     w = w0
-    c = katz_solve(w)
-    gaps = v_map(g, c) - c
+    c, gaps = improvement_gaps(g, w)
     residual = float(np.max(np.abs(gaps)))
     steps = [_record(0, None, None, c, residual)]
-    if residual <= cfg.tol:
-        return BrdTrace(tuple(steps), w, CONVERGED, 0, cfg)
-
-    limit = cfg.max_steps if cfg.max_steps is not None else STEP_LIMIT_FACTOR * g.n
     state = cfg.scheduler.start(g.n)
-    status = STEP_LIMIT
-    total = 0
-    for k in range(1, limit + 1):
-        i = state.pick()
-        if i is None:  # explicit schedule exhausted
-            break
-        if cfg.lazy and gaps[i] <= cfg.tol:
-            row = w.row(i)
-        else:
-            br = best_response(g, i, w)
-            row = br.canonical
-            w = w.with_row(i, row)
-            c = katz_solve(w)
-            gaps = v_map(g, c) - c
-            residual = float(np.max(np.abs(gaps)))
-        steps.append(_record(k, i, row, c, residual))
-        total = k
-        if residual <= cfg.tol:
+    k = 0
+    while True:
+        improvers = np.flatnonzero(gaps > cfg.tol).tolist() if modified else None
+        if (not improvers) if modified else residual <= cfg.tol:
             status = CONVERGED
             break
-    return BrdTrace(tuple(steps), w, status, total, cfg)
-
-
-def run_modified_brd(
-    g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
-) -> BrdTrace:
-    """Finite-time variant: only agents with a strict better response are
-    selected, and responses are restricted to the canonical single-edge
-    allocation.  Each step strictly raises the acting agent's centrality, so
-    the run terminates at an exact Nash verdict without a step limit."""
-    cfg = cfg or BrdConfig(mode="modified")
-    require_valid(g)
-    require_feasible(g, w0)
-
-    w = w0
-    c = katz_solve(w)
-    gaps = v_map(g, c) - c
-    residual = float(np.max(np.abs(gaps)))
-    steps = [_record(0, None, None, c, residual)]
-    improvers = [i for i in range(g.n) if gaps[i] > cfg.tol]
-    if not improvers:
-        return BrdTrace(tuple(steps), w, CONVERGED, 0, cfg)
-
-    state = cfg.scheduler.start(g.n)
-    status = CONVERGED
-    k = 0
-    while improvers:
-        if cfg.max_steps is not None and k >= cfg.max_steps:
+        if limit is not None and k >= limit:
             status = STEP_LIMIT
             break
         i = state.pick(improvers)
@@ -245,18 +201,19 @@ def run_modified_brd(
             status = STEP_LIMIT
             break
         k += 1
-        br = best_response(g, i, w)
-        w = w.with_row(i, br.canonical)
-        c_next = katz_solve(w)
-        if not c_next[i] > c[i]:
-            raise ArithmeticError(
-                f"step {k}: centrality of agent {i + 1} did not strictly increase"
-            )
-        c = c_next
-        gaps = v_map(g, c) - c
-        residual = float(np.max(np.abs(gaps)))
-        steps.append(_record(k, i, br.canonical, c, residual))
-        improvers = [j for j in range(g.n) if gaps[j] > cfg.tol]
+        if cfg.lazy and gaps[i] <= cfg.tol:  # never true for a modified-mode improver
+            row = w.row(i)
+        else:
+            row = best_response(g, i, w).canonical
+            w = w.with_row(i, row)
+            c_prev = c
+            c, gaps = improvement_gaps(g, w)
+            residual = float(np.max(np.abs(gaps)))
+            if modified and not c[i] > c_prev[i]:
+                raise ArithmeticError(
+                    f"step {k}: centrality of agent {i + 1} did not strictly increase"
+                )
+        steps.append(_record(k, i, row, c, residual))
     return BrdTrace(tuple(steps), w, status, k, cfg)
 
 

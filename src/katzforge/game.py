@@ -41,6 +41,19 @@ def v_map(g: GameInstance, x: np.ndarray) -> np.ndarray:
     return g.budget_array * (1.0 + best)
 
 
+def improvement_gaps(
+    g: GameInstance, w: AllocationProfile | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centralities c = c(w) and the improvement gaps v(c) - c.
+
+    Agent i has a strictly better response iff its gap exceeds the tolerance,
+    and w is Nash iff every |gap| is within it.  Feasibility of ``w`` is the
+    caller's to check.
+    """
+    c = katz_solve(w)
+    return c, v_map(g, c) - c
+
+
 @dataclass(frozen=True)
 class EquilibriumCertificate:
     """Unique equilibrium centralities c* with the fixed-point evidence.
@@ -88,7 +101,7 @@ def equilibrium_centralities(g: GameInstance, tol: float = DEFAULT_TOL) -> Equil
     while True:
         policy = np.zeros((g.n, g.n))
         policy[agents, succ] = g.budget_array
-        c = katz_solve(policy)
+        c, gaps = improvement_gaps(g, policy)
         rounds += 1
         scores = np.where(support, c, -np.inf)
         best = scores.argmax(axis=1)
@@ -98,7 +111,7 @@ def equilibrium_centralities(g: GameInstance, tol: float = DEFAULT_TOL) -> Equil
             break
         succ = np.where(switch, best, succ)
 
-    residual = float(np.max(np.abs(v_map(g, c) - c)))
+    residual = float(np.max(np.abs(gaps)))
     if residual > tol:
         raise ArithmeticError(f"equilibrium residual {residual} exceeds tol {tol}")
     return EquilibriumCertificate(
@@ -149,45 +162,6 @@ def best_response(
     )
 
 
-def best_response_oracle(
-    g: GameInstance, i: int, w: AllocationProfile, tie_tol: float = TIE_REL_TOL
-) -> BestResponseResult:
-    """Independent best-response route: evaluate every single-edge allocation
-    B_i e_j by a full centrality solve and take the argmax."""
-    require_feasible(g, w)
-    values: list[tuple[int, float]] = []
-    for j in g.topology.out_neighbors(i):
-        trial = np.zeros(g.n)
-        trial[j] = g.budgets[i]
-        values.append((j, float(katz_solve(w.with_row(i, trial))[i])))
-    argmax_set = _tied_argmax(values, tie_tol)
-    j_star = argmax_set[0]
-    canonical = np.zeros(g.n)
-    canonical[j_star] = g.budgets[i]
-    achieved = dict(values)[j_star]
-    return BestResponseResult(
-        agent=i, argmax_set=argmax_set, canonical=canonical, achieved_value=achieved
-    )
-
-
-def strict_better_response_exists(
-    g: GameInstance, i: int, w: AllocationProfile, tol: float = DEFAULT_TOL
-) -> bool:
-    """True iff agent i can strictly raise its centrality, i.e. v_i(c(w))
-    exceeds c_i(w) beyond ``tol``."""
-    require_feasible(g, w)
-    c = katz_solve(w)
-    return bool(v_map(g, c)[i] > c[i] + tol)
-
-
-def is_best_response(
-    g: GameInstance, i: int, w: AllocationProfile, tol: float = DEFAULT_TOL
-) -> bool:
-    require_feasible(g, w)
-    c = katz_solve(w)
-    return bool(abs(c[i] - v_map(g, c)[i]) <= tol)
-
-
 @dataclass(frozen=True)
 class NashVerdict:
     """Residual test v(c(w)) = c(w) plus the gap to the certified c*."""
@@ -218,39 +192,10 @@ def is_nash(g: GameInstance, w: AllocationProfile, tol: float = DEFAULT_TOL) -> 
     centralities c*.
     """
     require_feasible(g, w)
-    c = katz_solve(w)
-    gaps = v_map(g, c) - c
+    c, gaps = improvement_gaps(g, w)
     residual = float(np.max(np.abs(gaps)))
     cert = equilibrium_centralities(g, tol=tol)
     eq_gap = float(np.max(np.abs(c - cert.c_star)))
     return NashVerdict(
         is_nash=residual <= tol, residual=residual, v_gaps=gaps, equilibrium_gap=eq_gap, tol=tol
     )
-
-
-def unilateral_swap_check(
-    g: GameInstance,
-    w_star: AllocationProfile,
-    i: int,
-    x_row: np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """Swap agent i's row of a Nash profile for another best response and
-    re-certify; the result must remain Nash.
-
-    Preconditions (verified): ``w_star`` is Nash and the alternative row
-    achieves the same centrality for i.
-    """
-    base = is_nash(g, w_star, tol)
-    if not base.is_nash:
-        raise ValueError(f"precondition failed: w_star is not Nash (residual {base.residual})")
-    swapped = w_star.with_row(i, x_row)
-    require_feasible(g, swapped)
-    c_before = katz_solve(w_star)
-    c_after = katz_solve(swapped)
-    if abs(c_after[i] - c_before[i]) > tol:
-        raise ValueError(
-            "precondition failed: alternative row changes agent "
-            f"{i + 1}'s centrality by {abs(c_after[i] - c_before[i])}"
-        )
-    return is_nash(g, swapped, tol).is_nash

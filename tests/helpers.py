@@ -10,7 +10,7 @@ from katzforge import (
     GameInstance,
     Scheduler,
     generate_random_instance,
-    run_modified_brd,
+    run_brd,
     topology_from_edges,
 )
 
@@ -75,7 +75,7 @@ def undirected_game(
 def find_ne(g: GameInstance, seed: int = 0, tol: float = 1e-10) -> AllocationProfile:
     """Certified Nash profile via the finitely terminating modified dynamics."""
     cfg = BrdConfig(scheduler=Scheduler.uniform_random(seed), tol=tol, mode="modified")
-    trace = run_modified_brd(g, AllocationProfile.zeros(g.n), cfg)
+    trace = run_brd(g, AllocationProfile.zeros(g.n), cfg)
     assert trace.converged, f"modified BRD failed to terminate on {g}"
     return trace.terminal
 

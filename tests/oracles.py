@@ -2,9 +2,13 @@
 
 These deliberately avoid the routes used by the package: walk masses are
 obtained by literal path enumeration (exponential, small cases) and by
-per-length series accumulation (any depth), c* by value iteration rather
-than policy iteration, and strongly connected components by transitive
-closure, so results can be checked against genuinely different computations.
+per-length series accumulation (any depth), Katz centralities by the
+truncated walk series, best responses by one full solve per single-edge
+allocation, c* by value iteration rather than policy iteration, and strongly
+connected components by transitive closure, so results can be checked
+against genuinely different computations.  ``brd_reference`` keeps the
+dense two-loop form of the dynamics (one loop per mode) that ``run_brd``
+must reproduce bitwise.
 """
 
 from __future__ import annotations
@@ -13,7 +17,170 @@ import math
 
 import numpy as np
 
-from katzforge import GameInstance, v_map
+from katzforge import (
+    AllocationProfile,
+    BestResponseResult,
+    BrdConfig,
+    BrdTrace,
+    GameInstance,
+    best_response,
+    is_nash,
+    katz_solve,
+    v_map,
+)
+from katzforge.dynamics import CONVERGED, STEP_LIMIT, STEP_LIMIT_FACTOR, _record
+from katzforge.game import DEFAULT_TOL, TIE_REL_TOL
+from katzforge.instance import require_feasible, require_valid
+
+
+def katz_series(w: AllocationProfile | np.ndarray, depth: int) -> np.ndarray:
+    """Truncated walk series sum_{k=1..depth} A^k 1, the independent oracle
+    for ``katz_solve``.  Per-entry truncation error is at most
+    B_M^(depth+1) / (1 - B_M) where B_M bounds the row sums."""
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    a = w.weights if isinstance(w, AllocationProfile) else np.asarray(w, dtype=float)
+    term = a @ np.ones(a.shape[0])
+    acc = term.copy()
+    for _ in range(depth - 1):
+        term = a @ term
+        acc += term
+    return acc
+
+
+def best_response_oracle(
+    g: GameInstance, i: int, w: AllocationProfile, tie_tol: float = TIE_REL_TOL
+) -> BestResponseResult:
+    """Independent best-response route: evaluate every single-edge allocation
+    B_i e_j by a full centrality solve and take the argmax (ties within
+    ``tie_tol`` relative, as ``best_response`` breaks them)."""
+    require_feasible(g, w)
+    values: list[tuple[int, float]] = []
+    for j in g.topology.out_neighbors(i):
+        trial = np.zeros(g.n)
+        trial[j] = g.budgets[i]
+        values.append((j, float(katz_solve(w.with_row(i, trial))[i])))
+    top = max(v for _, v in values)
+    argmax_set = tuple(sorted(j for j, v in values if v >= top * (1.0 - tie_tol)))
+    j_star = argmax_set[0]
+    canonical = np.zeros(g.n)
+    canonical[j_star] = g.budgets[i]
+    achieved = dict(values)[j_star]
+    return BestResponseResult(
+        agent=i, argmax_set=argmax_set, canonical=canonical, achieved_value=achieved
+    )
+
+
+def unilateral_swap_check(
+    g: GameInstance,
+    w_star: AllocationProfile,
+    i: int,
+    x_row: np.ndarray,
+    tol: float = DEFAULT_TOL,
+) -> bool:
+    """Swap agent i's row of a Nash profile for another best response and
+    re-certify; the result must remain Nash.
+
+    Preconditions (verified): ``w_star`` is Nash and the alternative row
+    achieves the same centrality for i.
+    """
+    base = is_nash(g, w_star, tol)
+    if not base.is_nash:
+        raise ValueError(f"precondition failed: w_star is not Nash (residual {base.residual})")
+    swapped = w_star.with_row(i, x_row)
+    require_feasible(g, swapped)
+    c_before = katz_solve(w_star)
+    c_after = katz_solve(swapped)
+    if abs(c_after[i] - c_before[i]) > tol:
+        raise ValueError(
+            "precondition failed: alternative row changes agent "
+            f"{i + 1}'s centrality by {abs(c_after[i] - c_before[i])}"
+        )
+    return is_nash(g, swapped, tol).is_nash
+
+
+def brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig) -> BrdTrace:
+    """The dynamics as two separate dense loops, dispatched on ``cfg.mode``."""
+    if cfg.mode == "modified":
+        return _modified_brd_reference(g, w0, cfg)
+    return _standard_brd_reference(g, w0, cfg)
+
+
+def _standard_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig) -> BrdTrace:
+    require_valid(g)
+    require_feasible(g, w0)
+
+    w = w0
+    c = katz_solve(w)
+    gaps = v_map(g, c) - c
+    residual = float(np.max(np.abs(gaps)))
+    steps = [_record(0, None, None, c, residual)]
+    if residual <= cfg.tol:
+        return BrdTrace(tuple(steps), w, CONVERGED, 0, cfg)
+
+    limit = cfg.max_steps if cfg.max_steps is not None else STEP_LIMIT_FACTOR * g.n
+    state = cfg.scheduler.start(g.n)
+    status = STEP_LIMIT
+    total = 0
+    for k in range(1, limit + 1):
+        i = state.pick()
+        if i is None:  # explicit schedule exhausted
+            break
+        if cfg.lazy and gaps[i] <= cfg.tol:
+            row = w.row(i)
+        else:
+            br = best_response(g, i, w)
+            row = br.canonical
+            w = w.with_row(i, row)
+            c = katz_solve(w)
+            gaps = v_map(g, c) - c
+            residual = float(np.max(np.abs(gaps)))
+        steps.append(_record(k, i, row, c, residual))
+        total = k
+        if residual <= cfg.tol:
+            status = CONVERGED
+            break
+    return BrdTrace(tuple(steps), w, status, total, cfg)
+
+
+def _modified_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig) -> BrdTrace:
+    require_valid(g)
+    require_feasible(g, w0)
+
+    w = w0
+    c = katz_solve(w)
+    gaps = v_map(g, c) - c
+    residual = float(np.max(np.abs(gaps)))
+    steps = [_record(0, None, None, c, residual)]
+    improvers = [i for i in range(g.n) if gaps[i] > cfg.tol]
+    if not improvers:
+        return BrdTrace(tuple(steps), w, CONVERGED, 0, cfg)
+
+    state = cfg.scheduler.start(g.n)
+    status = CONVERGED
+    k = 0
+    while improvers:
+        if cfg.max_steps is not None and k >= cfg.max_steps:
+            status = STEP_LIMIT
+            break
+        i = state.pick(improvers)
+        if i is None:  # explicit schedule exhausted
+            status = STEP_LIMIT
+            break
+        k += 1
+        br = best_response(g, i, w)
+        w = w.with_row(i, br.canonical)
+        c_next = katz_solve(w)
+        if not c_next[i] > c[i]:
+            raise ArithmeticError(
+                f"step {k}: centrality of agent {i + 1} did not strictly increase"
+            )
+        c = c_next
+        gaps = v_map(g, c) - c
+        residual = float(np.max(np.abs(gaps)))
+        steps.append(_record(k, i, br.canonical, c, residual))
+        improvers = [j for j in range(g.n) if gaps[j] > cfg.tol]
+    return BrdTrace(tuple(steps), w, status, k, cfg)
 
 
 def brute_walk_sums(a: np.ndarray, i: int, max_len: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,6 @@ from katzforge import (
     BrdConfig,
     Scheduler,
     best_response,
-    best_response_oracle,
     check_cycle_parity,
     check_hierarchy,
     check_scc_uniformity,
@@ -22,16 +21,14 @@ from katzforge import (
     fractional_linear_centrality,
     generate_random_instance,
     is_nash,
-    katz_series,
     katz_solve,
     run_brd,
-    run_modified_brd,
     scc_condensation,
     v_map,
     walk_decomposition,
 )
 from katzforge.instance import topology_from_edges, GameInstance
-from oracles import series_pq, series_tail_bound
+from oracles import best_response_oracle, katz_series, series_pq, series_tail_bound
 
 REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
 REPORTED_C_STAR = np.array([1.15] * 3 + [4.77] * 3 + [3.98] * 3 + [0.98])
@@ -150,7 +147,7 @@ def test_c05_modified_brd_finite_termination():
         n = 2 + (seed % 9)  # n <= 10
         g = generate_random_instance(n, 0.2 + 0.75 * (seed % 7) / 7, seed % 2 == 1, (0.1, 0.85), seed)
         w0 = AllocationProfile.zeros(n) if seed % 2 else random_feasible_profile(g, seed + 11)
-        trace = run_modified_brd(g, w0, BrdConfig(mode="modified", tol=tol))
+        trace = run_brd(g, w0, BrdConfig(mode="modified", tol=tol))
         step_counts.append(trace.total_steps)
         if not trace.converged:
             violations.append((seed, "did not terminate"))
@@ -260,7 +257,7 @@ def test_c09_structure_theorems_at_nash():
         cases.append(undirected_game(seed, n_min=3, n_max=10, self_loops=True))
 
     for idx, g in enumerate(cases):
-        trace = run_modified_brd(g, AllocationProfile.zeros(g.n), BrdConfig(mode="modified"))
+        trace = run_brd(g, AllocationProfile.zeros(g.n), BrdConfig(mode="modified"))
         if not trace.converged:
             violations.append((idx, "no NE found"))
             continue

@@ -6,11 +6,16 @@ from katzforge import (
     AllocationProfile,
     FeasibilityError,
     fractional_linear_centrality,
-    katz_series,
     katz_solve,
     walk_decomposition,
 )
-from oracles import brute_walk_sums, series_pq, series_pq_per_length, series_tail_bound
+from oracles import (
+    brute_walk_sums,
+    katz_series,
+    series_pq,
+    series_pq_per_length,
+    series_tail_bound,
+)
 
 
 class TestKatzSolve:

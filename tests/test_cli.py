@@ -101,8 +101,11 @@ class TestRun:
                      "-o", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("# ")
-        assert "status=converged" in lines[0]
+        assert lines[0] == (
+            "# tool=katzforge version=0.1.0 instance_sha256="
+            "83acbfb93d4ea11c3b13eae640846d77dcdf18090cf296a1265e67cd175e6a1e"
+            " seed=0 tol=1e-10 scheduler=rr mode=modified w0=zero lazy=True status=converged"
+        )
         assert lines[1] == "step,agent,residual,c_1,c_2"
         assert len(lines) - 2 <= 5  # initial record + at most 4 steps
 
@@ -154,6 +157,21 @@ class TestRun:
         assert main(base + ["--jobs", "4", "-o", str(par_dir / "t.csv")]) == 0
         for k in range(1, 5):
             assert (seq_dir / f"t-seed{k}.csv").read_bytes() == (par_dir / f"t-seed{k}.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seeds", "5:3"],  # empty range
+            ["--seeds", "1.7:2.2"],  # not integers
+            ["--seeds", "1:2:3"],
+            ["--seeds", "1:2", "--jobs", "-3"],
+            ["--seeds", "1:2", "--jobs", "0"],
+        ],
+        ids=["seeds-descending", "seeds-float", "seeds-three-parts", "jobs-negative", "jobs-zero"],
+    )
+    def test_malformed_batch_arguments_are_usage_errors(self, i3_file, tmp_path, flags):
+        assert main(["run", str(i3_file), *flags, "-o", str(tmp_path / "t.csv")]) == 1
+        assert not list(tmp_path.glob("t*.csv"))
 
     def test_unknown_scheduler_is_usage_error(self, i3_file, tmp_path):
         assert main(["run", str(i3_file), "--scheduler", "bogus", "-o", str(tmp_path / "t.csv")]) == 1

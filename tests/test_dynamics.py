@@ -10,14 +10,14 @@ from katzforge import (
     FeasibilityError,
     Scheduler,
     equilibrium_centralities,
+    improvement_gaps,
     is_nash,
     katz_solve,
     run_brd,
-    run_modified_brd,
-    select_agents_with_improvement,
     write_trace_allocations_json,
     write_trace_csv,
 )
+from oracles import brd_reference
 
 REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
 REPORTED_C_STAR = np.array([1.15] * 3 + [4.77] * 3 + [3.98] * 3 + [0.98])
@@ -52,9 +52,12 @@ class TestScheduler:
         assert state.pick({1, 2}) == 1
         assert state.pick({0}) is None  # 2 consumed, nothing left
 
-    def test_explicit_out_of_range_rejected(self):
+    def test_explicit_out_of_range_rejected(self, i3, i3_ne):
         with pytest.raises(ValueError, match="out of range"):
             Scheduler.explicit([5]).start(3)
+        # run_brd checks the schedule before the first step, even at a Nash start
+        with pytest.raises(ValueError, match="out of range"):
+            run_brd(i3, i3_ne, BrdConfig(scheduler=Scheduler.explicit([5])))
 
 
 class TestBrdConfig:
@@ -147,13 +150,13 @@ class TestRunBrd:
 
 class TestRunModifiedBrd:
     def test_two_agent_terminates_quickly(self, i3):
-        trace = run_modified_brd(i3, AllocationProfile.zeros(2), BrdConfig(mode="modified"))
+        trace = run_brd(i3, AllocationProfile.zeros(2), BrdConfig(mode="modified"))
         assert trace.converged
         assert trace.total_steps <= 4
         np.testing.assert_allclose(trace.steps[-1].centralities, [1.0, 0.5], atol=1e-10)
 
     def test_nash_start_returns_immediately(self, i3, i3_ne):
-        trace = run_modified_brd(i3, i3_ne, BrdConfig(mode="modified"))
+        trace = run_brd(i3, i3_ne, BrdConfig(mode="modified"))
         assert trace.converged
         assert trace.total_steps == 0
 
@@ -162,7 +165,7 @@ class TestRunModifiedBrd:
             g = random_game(seed, n_max=10)
             w0 = random_feasible_profile(g, seed + 3)
             tol = 1e-10
-            trace = run_modified_brd(g, w0, BrdConfig(mode="modified", tol=tol))
+            trace = run_brd(g, w0, BrdConfig(mode="modified", tol=tol))
             assert trace.converged
             assert is_nash(g, trace.terminal, tol=tol).is_nash
             for prev, step in zip(trace.steps, trace.steps[1:]):
@@ -173,7 +176,7 @@ class TestRunModifiedBrd:
         # what bounds the run by the count of single-edge profiles
         for seed in range(30):
             g = random_game(seed, n_max=8)
-            trace = run_modified_brd(g, AllocationProfile.zeros(g.n), BrdConfig(mode="modified"))
+            trace = run_brd(g, AllocationProfile.zeros(g.n), BrdConfig(mode="modified"))
             seen = {trace.steps[0].centralities.tobytes()}
             profiles = set()
             w = AllocationProfile.zeros(g.n)
@@ -189,21 +192,93 @@ class TestRunModifiedBrd:
 
     def test_respects_explicit_max_steps(self, i3):
         cfg = BrdConfig(mode="modified", max_steps=1, tol=1e-12)
-        trace = run_modified_brd(i3, AllocationProfile.zeros(2), cfg)
+        trace = run_brd(i3, AllocationProfile.zeros(2), cfg)
         assert trace.status == "step-limit"
         assert trace.total_steps == 1
 
 
+def _assert_same_trace(got, want):
+    assert got.status == want.status
+    assert got.total_steps == want.total_steps
+    assert len(got.steps) == len(want.steps)
+    for a, b in zip(got.steps, want.steps):
+        assert (a.step, a.agent) == (b.step, b.agent)
+        assert (a.row is None) == (b.row is None)
+        if a.row is not None:
+            np.testing.assert_array_equal(a.row, b.row)
+        np.testing.assert_array_equal(a.centralities, b.centralities)
+        assert a.residual == b.residual
+    np.testing.assert_array_equal(got.terminal.weights, want.terminal.weights)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("mode", ["standard", "modified"])
+    @pytest.mark.parametrize("scheduler", ["rr", "random", "explicit"])
+    def test_bitwise_identical_traces(self, mode, scheduler):
+        # zero or random start x lazy on/off x default or 3-step limit
+        for seed in range(20):
+            g = random_game(seed)
+            if scheduler == "rr":
+                sched = Scheduler.round_robin()
+            elif scheduler == "random":
+                sched = Scheduler.uniform_random(seed + 5)
+            else:
+                rng = np.random.default_rng(seed)
+                sched = Scheduler.explicit(rng.integers(g.n, size=4 * g.n).tolist())
+            for w0 in (AllocationProfile.zeros(g.n), random_feasible_profile(g, seed + 21)):
+                for lazy in (True, False):
+                    for max_steps in (None, 3):
+                        cfg = BrdConfig(
+                            scheduler=sched, max_steps=max_steps, lazy=lazy, mode=mode
+                        )
+                        _assert_same_trace(run_brd(g, w0, cfg), brd_reference(g, w0, cfg))
+
+    def test_modified_mode_runs_modified_dynamics(self):
+        g = random_game(3)
+        w0 = AllocationProfile.zeros(g.n)
+        tol = 1e-10
+        trace = run_brd(g, w0, BrdConfig(mode="modified", tol=tol))
+        _assert_same_trace(trace, brd_reference(g, w0, BrdConfig(mode="modified", tol=tol)))
+        assert trace.config.mode == "modified"
+        assert trace.converged
+        w = w0
+        for prev, step in zip(trace.steps, trace.steps[1:]):
+            _, gaps = improvement_gaps(g, w)
+            assert gaps[step.agent] > tol  # only improvers move
+            assert step.centralities[step.agent] > prev.centralities[step.agent]
+            w = w.with_row(step.agent, step.row)
+        standard = run_brd(g, w0, BrdConfig(tol=tol))
+        assert standard.config.mode == "standard"
+        assert standard.total_steps != trace.total_steps
+
+
 class TestSelectAgents:
+    """Modified BRD schedules only agents with a strictly better response: the
+    first movers over many schedules are exactly the agents with gap > tol."""
+
+    @staticmethod
+    def _first_movers(g, w, tol=1e-10):
+        schedulers = [Scheduler.round_robin()] + [Scheduler.uniform_random(s) for s in range(20)]
+        movers = set()
+        for sched in schedulers:
+            trace = run_brd(g, w, BrdConfig(scheduler=sched, mode="modified", tol=tol, max_steps=1))
+            if trace.total_steps:
+                movers.add(trace.steps[1].agent)
+            else:
+                assert trace.converged
+        _, gaps = improvement_gaps(g, w)
+        assert movers == {i for i in range(g.n) if gaps[i] > tol}
+        return movers
+
     def test_zero_profile_selects_everyone(self, i3):
-        assert select_agents_with_improvement(i3, AllocationProfile.zeros(2)) == {0, 1}
+        assert self._first_movers(i3, AllocationProfile.zeros(2)) == {0, 1}
 
     def test_nash_profile_selects_nobody(self, i3, i3_ne):
-        assert select_agents_with_improvement(i3, i3_ne) == set()
+        assert self._first_movers(i3, i3_ne) == set()
 
     def test_partial_profile(self, i2):
         w = AllocationProfile(np.array([[0.0, 0.5], [0.0, 0.0]]))
-        assert select_agents_with_improvement(i2, w) == {1}
+        assert self._first_movers(i2, w) == {1}
 
 
 class TestScheduleIndependence:

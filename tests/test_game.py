@@ -8,17 +8,14 @@ from katzforge import (
     AllocationProfile,
     GameInstance,
     best_response,
-    best_response_oracle,
     equilibrium_centralities,
     generate_random_instance,
-    is_best_response,
+    improvement_gaps,
     is_nash,
     katz_solve,
-    strict_better_response_exists,
-    unilateral_swap_check,
     v_map,
 )
-from oracles import value_iteration_oracle
+from oracles import best_response_oracle, unilateral_swap_check, value_iteration_oracle
 
 REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
 REPORTED_C_STAR = np.array([1.15] * 3 + [4.77] * 3 + [3.98] * 3 + [0.98])
@@ -180,27 +177,63 @@ class TestBestResponse:
                     assert c[i] == pytest.approx(br.achieved_value, abs=1e-10)
 
 
+class TestImprovementGaps:
+    @pytest.mark.parametrize(
+        "instance, weights, improvers",
+        [
+            ("i3", [[0.0, 0.0], [0.0, 0.0]], {0, 1}),  # zero profile: everyone improves
+            ("i3", [[0.5, 0.0], [0.25, 0.0]], set()),  # i3_ne: nobody improves
+            ("i2", [[0.0, 0.5], [0.0, 0.0]], {1}),  # one-sided: only agent 2 (index 1)
+            ("i2", [[0.0, 0.5], [0.25, 0.0]], set()),  # interior mutual best responses
+        ],
+        ids=["zero-profile", "nash-profile", "one-sided", "interior-mutual"],
+    )
+    def test_improvers_and_gaps(self, request, instance, weights, improvers):
+        g = request.getfixturevalue(instance)
+        w = AllocationProfile(np.array(weights))
+        tol = 1e-10
+        c, gaps = improvement_gaps(g, w)
+        np.testing.assert_array_equal(c, katz_solve(w))
+        assert {i for i in range(g.n) if gaps[i] > tol} == improvers
+        # no improver left means every agent best-responds: |gap| <= tol
+        assert (float(np.max(np.abs(gaps))) <= tol) == (not improvers)
+
+
 class TestResponsePredicates:
+    """Agent i has a strictly better response iff its gap exceeds tol, and
+    best-responds iff |gap| <= tol; both are checked against the full-solve
+    best-response oracle."""
+
+    TOL = 1e-10
+
+    def _improves(self, g, i, w):
+        c, gaps = improvement_gaps(g, w)
+        strict = bool(gaps[i] > self.TOL)
+        assert strict == (best_response_oracle(g, i, w).achieved_value > c[i] + self.TOL)
+        return strict
+
+    def _is_best(self, g, i, w):
+        c, gaps = improvement_gaps(g, w)
+        best = bool(abs(gaps[i]) <= self.TOL)
+        oracle = best_response_oracle(g, i, w).achieved_value
+        assert best == (abs(oracle - c[i]) <= self.TOL)
+        return best
+
     def test_zero_profile_everyone_improves(self, i3):
         w = AllocationProfile.zeros(2)
-        assert strict_better_response_exists(i3, 0, w)
-        assert strict_better_response_exists(i3, 1, w)
-        assert not is_best_response(i3, 0, w)
+        assert self._improves(i3, 0, w)
+        assert self._improves(i3, 1, w)
+        assert not self._is_best(i3, 0, w)
 
     def test_nash_profile_nobody_improves(self, i3, i3_ne):
         for i in (0, 1):
-            assert not strict_better_response_exists(i3, i, i3_ne)
-            assert is_best_response(i3, i, i3_ne)
+            assert not self._improves(i3, i, i3_ne)
+            assert self._is_best(i3, i, i3_ne)
 
     def test_one_sided_improvement(self, i2):
         w = AllocationProfile(np.array([[0.0, 0.5], [0.0, 0.0]]))
-        assert not strict_better_response_exists(i2, 0, w)
-        assert strict_better_response_exists(i2, 1, w)
-
-    def test_mutual_best_responses_at_interior_profile(self, i2):
-        w = AllocationProfile(np.array([[0.0, 0.5], [0.25, 0.0]]))
-        assert is_best_response(i2, 0, w)
-        assert is_best_response(i2, 1, w)
+        assert not self._improves(i2, 0, w)
+        assert self._improves(i2, 1, w)
 
 
 class TestIsNash:
