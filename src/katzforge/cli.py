@@ -27,7 +27,7 @@ from .dynamics import (
     write_trace_allocations_json,
     write_trace_csv,
 )
-from .game import equilibrium_centralities, is_nash
+from .game import equilibrium_centralities, is_nash, require_tol
 from .instance import (
     AllocationProfile,
     FeasibilityError,
@@ -61,8 +61,10 @@ def _resolve_tol(flag: float | None) -> float:
             raise click.UsageError(f"{TOL_ENV_VAR} is not a number: {os.environ[TOL_ENV_VAR]!r}")
     else:
         tol = DEFAULT_CLI_TOL
-    if tol <= 0:
-        raise click.UsageError(f"tolerance must be positive, got {tol}")
+    try:
+        require_tol(tol)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     return tol
 
 
@@ -109,17 +111,20 @@ def _parse_seeds(spec: str) -> range:
     return range(lo, hi + 1)
 
 
-def _parse_scheduler(spec: str, seed: int) -> Scheduler:
+def _parse_scheduler(spec: str, seed: int, n: int) -> Scheduler:
     if spec == "rr":
         return Scheduler.round_robin()
     if spec == "random":
         return Scheduler.uniform_random(seed)
     if spec.startswith("seq:"):
         try:
-            agents = [int(s) - 1 for s in spec[4:].split(",")]
+            agents = [int(s) for s in spec[4:].split(",")]
         except ValueError:
             raise click.UsageError(f"bad explicit schedule {spec!r}; expected seq:1,2,3")
-        return Scheduler.explicit(agents)
+        for agent in agents:
+            if not 1 <= agent <= n:
+                raise click.UsageError(f"scheduled agent {agent} out of range 1..{n}")
+        return Scheduler.explicit([agent - 1 for agent in agents])
     raise click.UsageError(f"unknown scheduler {spec!r}; expected rr, random, or seq:...")
 
 
@@ -204,7 +209,7 @@ def run(
 
     def one_run(run_seed: int, out_path: Path) -> str:
         sched_seed, w0_seed = _derived_seeds(run_seed, 2)
-        scheduler = _parse_scheduler(scheduler_spec, sched_seed)
+        scheduler = _parse_scheduler(scheduler_spec, sched_seed, g.n)
         if w0_spec == "zero":
             w0 = AllocationProfile.zeros(g.n)
         elif w0_spec == "random":

@@ -7,17 +7,23 @@ each move to raise the mover's centrality.  Both stop on the improvement gaps
 v(c(w)) - c(w) of the current profile, never on profile stability: profiles
 may keep moving between tied best responses while the centralities are
 already at the fixed point.
+
+A best-response step makes one dense solve: ``katz_solve`` for the recorded
+centralities and gaps.  The mover's target is read off a ``Resolvent`` that
+is built at the first best-response step and updated by one rank-one change
+per move; only the target comes from it, and every recorded number still
+comes from ``katz_solve``.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .game import DEFAULT_TOL, best_response, improvement_gaps
+from .centrality import Resolvent
+from .game import DEFAULT_TOL, best_response, improvement_gaps, require_tol
 from .instance import AllocationProfile, GameInstance, require_feasible, require_valid
 
 # Default step limit for standard BRD, per agent (convergence is asymptotic).
@@ -116,8 +122,7 @@ class BrdConfig:
     def __post_init__(self):
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        require_tol(self.tol)
         if self.mode not in ("standard", "modified"):
             raise ValueError(f"mode must be 'standard' or 'modified', got {self.mode!r}")
 
@@ -187,6 +192,7 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
     residual = float(np.max(np.abs(gaps)))
     steps = [_record(0, None, None, c, residual)]
     state = cfg.scheduler.start(g.n)
+    resolvent = None  # built at the first best-response step
     k = 0
     while True:
         improvers = np.flatnonzero(gaps > cfg.tol).tolist() if modified else None
@@ -204,10 +210,13 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
         if cfg.lazy and gaps[i] <= cfg.tol:  # never true for a modified-mode improver
             row = w.row(i)
         else:
-            row = best_response(g, i, w).canonical
+            if resolvent is None:
+                resolvent = Resolvent(w)
+            row = best_response(g, i, w, wd=resolvent.decomposition(g, i)).canonical
             w = w.with_row(i, row)
             c_prev = c
             c, gaps = improvement_gaps(g, w)
+            resolvent.replace_row(i, row, c)
             residual = float(np.max(np.abs(gaps)))
             if modified and not c[i] > c_prev[i]:
                 raise ArithmeticError(
@@ -219,27 +228,23 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
 
 # --- trace artifacts --------------------------------------------------------
 #
-# CSV: one optional '#'-prefixed metadata comment, one header row
-# (step,agent,residual,c_1..c_n), floats at 17 significant digits, agents
-# 1-based, blank agent on the step-0 record.
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# CSV: one optional '#'-prefixed metadata comment ending in "\n", one header
+# row (step,agent,residual,c_1..c_n), floats at 17 significant digits, agents
+# 1-based, blank agent on the step-0 record; header and data rows end in
+# "\r\n".  No field ever needs quoting.
 
 
 def write_trace_csv(trace: BrdTrace, path, meta: dict | None = None) -> None:
     n = trace.n
+    row_format = "%d,%s" + ",%.17g" * (n + 1) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step", "agent", "residual"] + [f"c_{j + 1}" for j in range(n)])
+        header = ["step", "agent", "residual"] + [f"c_{j + 1}" for j in range(n)]
+        fh.write(",".join(header) + "\r\n")
         for s in trace.steps:
-            agent = "" if s.agent is None else str(s.agent + 1)
-            writer.writerow(
-                [str(s.step), agent, _fmt(s.residual)] + [_fmt(v) for v in s.centralities]
-            )
+            agent = "" if s.agent is None else s.agent + 1
+            fh.write(row_format % (s.step, agent, s.residual, *s.centralities.tolist()))
 
 
 def write_trace_allocations_json(trace: BrdTrace, path, meta: dict | None = None) -> None:

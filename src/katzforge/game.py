@@ -7,11 +7,17 @@ every Nash profile, which is what certification checks against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import fractional_linear_centrality, katz_solve, walk_decomposition
+from .centrality import (
+    WalkDecomposition,
+    fractional_linear_centrality,
+    katz_solve,
+    walk_decomposition,
+)
 from .instance import (
     AllocationProfile,
     GameInstance,
@@ -28,6 +34,13 @@ TIE_REL_TOL = 1e-10
 SWITCH_MARGIN_ULPS = 4
 
 
+def require_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is a finite positive number; NaN would
+    make every "gap > tol" comparison false and stop any run at once."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def v_map(g: GameInstance, x: np.ndarray) -> np.ndarray:
     """v_i(x) = B_i (1 + max of x over agent i's underlying out-neighbors)."""
     x = np.asarray(x, dtype=float)
@@ -35,9 +48,10 @@ def v_map(g: GameInstance, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"x has shape {x.shape}, expected ({g.n},)")
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
-    best = np.where(g.topology.support_mask, x[np.newaxis, :], -np.inf).max(axis=1)
-    if np.any(np.isneginf(best)):
+    cols, offsets = g.topology.neighbor_index
+    if np.any(offsets[1:] == offsets[:-1]):
         raise ValueError("an agent has no underlying out-neighbors")
+    best = np.maximum.reduceat(x[cols], offsets[:-1])
     return g.budget_array * (1.0 + best)
 
 
@@ -92,8 +106,7 @@ def equilibrium_centralities(g: GameInstance, tol: float = DEFAULT_TOL) -> Equil
     max |v(c) - c| must be within ``tol``, else ArithmeticError.
     """
     require_valid(g)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    require_tol(tol)
     support = g.topology.support_mask
     agents = np.arange(g.n)
     succ = support.argmax(axis=1)  # any start will do: first neighbor
@@ -142,15 +155,23 @@ def _tied_argmax(candidates: list[tuple[int, float]], rel_tol: float) -> tuple[i
 
 
 def best_response(
-    g: GameInstance, i: int, w: AllocationProfile, tie_tol: float = TIE_REL_TOL
+    g: GameInstance,
+    i: int,
+    w: AllocationProfile,
+    tie_tol: float = TIE_REL_TOL,
+    *,
+    wd: WalkDecomposition | None = None,
 ) -> BestResponseResult:
     """Exact best response of agent i against the opponents' rows in ``w``.
 
     Maximizes the score f[j] = d[j] / (1 - q[j] B_i) over underlying
     out-neighbors; putting the whole budget on any maximizer is optimal, and
     the achieved centrality is B_i * f[j].  Agent i's own row is ignored.
+    ``wd`` is agent i's walk decomposition of ``w`` when the caller already
+    has it (from a ``Resolvent``); by default it is solved densely.
     """
-    wd = walk_decomposition(g, w, i)
+    if wd is None:
+        wd = walk_decomposition(g, w, i)
     scores = [(j, float(wd.f[j])) for j in wd.neighbors]
     argmax_set = _tied_argmax(scores, tie_tol)
     j_star = argmax_set[0]
@@ -191,6 +212,7 @@ def is_nash(g: GameInstance, w: AllocationProfile, tol: float = DEFAULT_TOL) -> 
     Also reports the sup-distance from c(w) to the unique equilibrium
     centralities c*.
     """
+    require_tol(tol)
     require_feasible(g, w)
     c, gaps = improvement_gaps(g, w)
     residual = float(np.max(np.abs(gaps)))

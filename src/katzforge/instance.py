@@ -69,6 +69,16 @@ class UnderlyingTopology:
         return self.neighbor_lists[i]
 
     @cached_property
+    def neighbor_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``neighbor_lists`` in CSR form: the concatenated column indices and
+        the n + 1 offsets at which each agent's run starts and ends."""
+        offsets = np.cumsum([0] + [len(js) for js in self.neighbor_lists])
+        cols = np.array([j for js in self.neighbor_lists for j in js], dtype=np.intp)
+        for arr in (cols, offsets):
+            arr.setflags(write=False)
+        return cols, offsets
+
+    @cached_property
     def support_mask(self) -> np.ndarray:
         mask = np.zeros((self.n, self.n), dtype=bool)
         for i, j in self.adj:

@@ -6,7 +6,9 @@ per-length series accumulation (any depth), Katz centralities by the
 truncated walk series, best responses by one full solve per single-edge
 allocation, c* by value iteration rather than policy iteration, and strongly
 connected components by transitive closure, so results can be checked
-against genuinely different computations.  ``brd_reference`` keeps the
+against genuinely different computations.  ``v_map_dense`` keeps the
+dense-mask form of the v map, which the CSR route must match bitwise, and
+``brd_reference`` keeps the
 dense two-loop form of the dynamics (one loop per mode) that ``run_brd``
 must reproduce bitwise.
 """
@@ -46,6 +48,15 @@ def katz_series(w: AllocationProfile | np.ndarray, depth: int) -> np.ndarray:
         term = a @ term
         acc += term
     return acc
+
+
+def v_map_dense(g: GameInstance, x: np.ndarray) -> np.ndarray:
+    """v_i(x) = B_i (1 + max_{j in N_i} x_j) through the dense n x n support
+    mask; max is exact, so ``v_map`` must agree bitwise."""
+    best = np.where(g.topology.support_mask, x[np.newaxis, :], -np.inf).max(axis=1)
+    if np.any(np.isneginf(best)):
+        raise ValueError("an agent has no underlying out-neighbors")
+    return g.budget_array * (1.0 + best)
 
 
 def best_response_oracle(

@@ -9,6 +9,7 @@ from katzforge import (
     katz_solve,
     walk_decomposition,
 )
+from katzforge.centrality import CROSS_CHECK_TOL, Resolvent
 from oracles import (
     brute_walk_sums,
     katz_series,
@@ -216,3 +217,60 @@ class TestCentralityIdentities:
             row[j] += bump
             c1 = katz_solve(w.with_row(i, row))
             assert np.all(c1 >= c0 - 1e-12)
+
+
+def _random_row(g, i, rng):
+    """A feasible row for agent i: random weights on a random subset of its
+    underlying out-neighbors, spending up to 99.9% of B_i."""
+    nbrs = np.array(g.topology.out_neighbors(i))
+    picks = nbrs[rng.random(len(nbrs)) < 0.5]
+    row = np.zeros(g.n)
+    if picks.size:
+        raw = rng.uniform(0.05, 1.0, size=picks.size)
+        row[picks] = raw * (g.budgets[i] * rng.uniform(0.5, 0.999) / raw.sum())
+    return row
+
+
+class TestResolvent:
+    @pytest.mark.parametrize("budget_hi", [0.85, 0.99, 0.999])
+    def test_decomposition_tracks_dense_route_under_row_replacements(self, budget_hi):
+        rng = np.random.default_rng(7)
+        for seed in range(6):
+            g = random_game(seed, n_max=25, budget_lo=budget_hi - 0.01, budget_hi=budget_hi)
+            w = random_feasible_profile(g, seed + 40)
+            res = Resolvent(w)
+            for _ in range(50):
+                i = int(rng.integers(g.n))
+                row = _random_row(g, i, rng)
+                w = w.with_row(i, row)
+                res.replace_row(i, row, katz_solve(w))
+            assert res.rebuilds == 0
+            for i in range(g.n):
+                got, want = res.decomposition(g, i), walk_decomposition(g, w, i)
+                assert (got.agent, got.neighbors, got.budget) == (want.agent, want.neighbors, want.budget)
+                for name in ("p", "q", "d", "f"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+                    scale = max(1.0, float(np.nanmax(np.abs(b))))
+                    assert np.nanmax(np.abs(a - b)) <= CROSS_CHECK_TOL * scale, (seed, i, name)
+
+    def test_corrupted_inverse_is_rebuilt(self, i3):
+        w = AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]]))
+        res = Resolvent(w)
+        res._m *= 1.0 + 1e-6
+        row = np.array([0.0, 0.5])
+        w = w.with_row(0, row)
+        res.replace_row(0, row, katz_solve(w))
+        assert res.rebuilds == 1
+        np.testing.assert_allclose(res._m, np.linalg.inv(np.eye(2) - w.weights), rtol=1e-14)
+        # an update whose denominator is not positive rebuilds too
+        res._m[:] = 0.0
+        res._m[0, 0] = 10.0  # 1 - delta M e_1 = 1 - 0.4 * 10 < 0
+        w = w.with_row(0, np.array([0.4, 0.0]))
+        res.replace_row(0, np.array([0.4, 0.0]), katz_solve(w))
+        assert res.rebuilds == 2
+        np.testing.assert_allclose(res._m, np.linalg.inv(np.eye(2) - w.weights), rtol=1e-14)
+
+    def test_infeasible_profile_rejected(self):
+        with pytest.raises(FeasibilityError, match="row 1"):
+            Resolvent(np.array([[1.0]]))

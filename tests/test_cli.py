@@ -180,6 +180,13 @@ class TestRun:
         out = tmp_path / "t.csv"
         assert main(["run", str(i3_file), "--scheduler", "seq:1,2", "-o", str(out)]) == 0
 
+    @pytest.mark.parametrize("agent", ["0", "3", "-1"])
+    def test_explicit_schedule_names_agent_as_typed(self, i3_file, tmp_path, capsys, agent):
+        argv = ["run", str(i3_file), "--scheduler", f"seq:1,{agent}", "-o", str(tmp_path / "t.csv")]
+        assert main(argv) == 1
+        assert f"scheduled agent {agent} out of range 1..2" in capsys.readouterr().err
+        assert not list(tmp_path.glob("t*.csv"))
+
 
 class TestVerify:
     def test_nash_profile(self, i3_file, i3_ne_file, capsys):
@@ -251,6 +258,22 @@ class TestAnalyze:
         alloc = tmp_path / "w.json"
         alloc.write_text(serialize_allocation(AllocationProfile(np.array([[0.9, 0.0], [0.0, 0.0]]))))
         assert main(["analyze", str(i3_file), str(alloc)]) == 3
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_flag_must_be_finite_and_positive(self, i3_file, tmp_path, capsys, tol):
+        assert main(["equilibrium", str(i3_file), "--tol", tol]) == 1
+        assert main(["run", str(i3_file), "--mode", "modified", "--tol", tol,
+                     "-o", str(tmp_path / "t.csv")]) == 1
+        assert "tol must be finite and positive" in capsys.readouterr().err
+        assert not list(tmp_path.glob("t*.csv"))
+
+    def test_env_var_must_be_finite_and_positive(self, i3_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("KATZFORGE_TOL", "nan")
+        assert main(["run", str(i3_file), "--mode", "modified", "-o", str(tmp_path / "t.csv")]) == 1
+        assert "tol must be finite and positive, got nan" in capsys.readouterr().err
+        assert not list(tmp_path.glob("t*.csv"))
 
 
 class TestUsage:

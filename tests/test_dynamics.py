@@ -10,6 +10,7 @@ from katzforge import (
     FeasibilityError,
     Scheduler,
     equilibrium_centralities,
+    best_response,
     improvement_gaps,
     is_nash,
     katz_solve,
@@ -66,6 +67,9 @@ class TestBrdConfig:
             BrdConfig(max_steps=0)
         with pytest.raises(ValueError):
             BrdConfig(tol=0.0)
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                BrdConfig(tol=tol)
         with pytest.raises(ValueError):
             BrdConfig(mode="other")
 
@@ -211,27 +215,39 @@ def _assert_same_trace(got, want):
     np.testing.assert_array_equal(got.terminal.weights, want.terminal.weights)
 
 
+def _assert_grid_matches_reference(games, mode, scheduler, step_limits):
+    # zero or random start x lazy on/off x each step limit
+    for seed, g in games:
+        if scheduler == "rr":
+            sched = Scheduler.round_robin()
+        elif scheduler == "random":
+            sched = Scheduler.uniform_random(seed + 5)
+        else:
+            rng = np.random.default_rng(seed)
+            sched = Scheduler.explicit(rng.integers(g.n, size=4 * g.n).tolist())
+        for w0 in (AllocationProfile.zeros(g.n), random_feasible_profile(g, seed + 21)):
+            for lazy in (True, False):
+                for max_steps in step_limits:
+                    cfg = BrdConfig(scheduler=sched, max_steps=max_steps, lazy=lazy, mode=mode)
+                    _assert_same_trace(run_brd(g, w0, cfg), brd_reference(g, w0, cfg))
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize("mode", ["standard", "modified"])
     @pytest.mark.parametrize("scheduler", ["rr", "random", "explicit"])
     def test_bitwise_identical_traces(self, mode, scheduler):
-        # zero or random start x lazy on/off x default or 3-step limit
-        for seed in range(20):
-            g = random_game(seed)
-            if scheduler == "rr":
-                sched = Scheduler.round_robin()
-            elif scheduler == "random":
-                sched = Scheduler.uniform_random(seed + 5)
-            else:
-                rng = np.random.default_rng(seed)
-                sched = Scheduler.explicit(rng.integers(g.n, size=4 * g.n).tolist())
-            for w0 in (AllocationProfile.zeros(g.n), random_feasible_profile(g, seed + 21)):
-                for lazy in (True, False):
-                    for max_steps in (None, 3):
-                        cfg = BrdConfig(
-                            scheduler=sched, max_steps=max_steps, lazy=lazy, mode=mode
-                        )
-                        _assert_same_trace(run_brd(g, w0, cfg), brd_reference(g, w0, cfg))
+        games = [(seed, random_game(seed)) for seed in range(20)]
+        _assert_grid_matches_reference(games, mode, scheduler, (None, 3))
+
+    @pytest.mark.parametrize("mode", ["standard", "modified"])
+    @pytest.mark.parametrize("scheduler", ["rr", "random", "explicit"])
+    def test_bitwise_identical_traces_near_one(self, mode, scheduler):
+        # n from 20 to 40, budgets within 0.05 below 0.99 or 0.999
+        games = [
+            (seed, random_game(seed, 20, 40, budget_lo=hi - 0.05, budget_hi=hi))
+            for seed, hi in zip(range(4), (0.99, 0.999) * 2)
+        ]
+        _assert_grid_matches_reference(games, mode, scheduler, (None,))
 
     def test_modified_mode_runs_modified_dynamics(self):
         g = random_game(3)
@@ -250,6 +266,51 @@ class TestAgainstReference:
         standard = run_brd(g, w0, BrdConfig(tol=tol))
         assert standard.config.mode == "standard"
         assert standard.total_steps != trace.total_steps
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Sizes of the systems passed to numpy.linalg.solve, in call order."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+class TestSolveCount:
+    @pytest.mark.parametrize("mode", ["standard", "modified"])
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_one_solve_per_best_response_step(self, solves, mode, lazy):
+        # initial katz_solve, one resolvent build, then one katz_solve per
+        # best-response step; lazy standard steps that keep the row solve nothing
+        tol = 1e-10
+        for seed in range(10):
+            g = random_game(seed, n_max=20, budget_hi=0.99)
+            w0 = random_feasible_profile(g, seed + 21)
+            solves.clear()
+            trace = run_brd(g, w0, BrdConfig(mode=mode, lazy=lazy, tol=tol))
+            responses = 0
+            for prev, step in zip(trace.steps, trace.steps[1:]):
+                c = prev.centralities
+                gap = g.budgets[step.agent] * (
+                    1 + max(c[j] for j in g.topology.out_neighbors(step.agent))
+                ) - c[step.agent]
+                responses += not (lazy and gap <= tol)
+            assert responses > 0
+            assert len(solves) == 2 + responses
+
+    def test_nash_start_builds_nothing(self, solves, i3, i3_ne):
+        run_brd(i3, i3_ne, BrdConfig(lazy=False))
+        assert len(solves) == 1
+
+    def test_dense_best_response_factors_once(self, solves, i3):
+        best_response(i3, 0, AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]])))
+        assert solves == [2]
 
 
 class TestSelectAgents:
@@ -315,6 +376,20 @@ class TestTraceArtifacts:
         assert step_row[1] == "1"  # agents are 1-based in artifacts
         # 17 significant digits round-trip
         assert float(lines[-1].split(",")[3]) == trace.steps[-1].centralities[0]
+
+    def test_csv_exact_bytes(self, i3, tmp_path):
+        # meta line ends in "\n", the header and data rows in "\r\n"
+        w0 = AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]]))
+        trace = run_brd(i3, w0, BrdConfig(tol=1e-10))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path, meta={"seed": 9, "tol": 1e-10})
+        assert path.read_bytes() == (
+            b"# seed=9 tol=1e-10\n"
+            b"step,agent,residual,c_1,c_2\r\n"
+            b"0,,0.3125,0.375,0.1875\r\n"
+            b"1,1,0.27777777777777779,1,0.22222222222222224\r\n"
+            b"2,2,0,1,0.5\r\n"
+        )
 
     def test_csv_without_meta_has_single_header(self, i3, tmp_path):
         trace = run_brd(i3, AllocationProfile.zeros(2), BrdConfig(tol=1e-10))

@@ -13,9 +13,15 @@ from katzforge import (
     improvement_gaps,
     is_nash,
     katz_solve,
+    topology_from_edges,
     v_map,
 )
-from oracles import best_response_oracle, unilateral_swap_check, value_iteration_oracle
+from oracles import (
+    best_response_oracle,
+    unilateral_swap_check,
+    v_map_dense,
+    value_iteration_oracle,
+)
 
 REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
 REPORTED_C_STAR = np.array([1.15] * 3 + [4.77] * 3 + [3.98] * 3 + [0.98])
@@ -38,6 +44,20 @@ class TestVMap:
     def test_wrong_length_rejected(self, i2):
         with pytest.raises(ValueError, match="shape"):
             v_map(i2, np.zeros(3))
+
+    def test_agent_without_neighbors_rejected(self):
+        for adj in ([(0, 1)], [(1, 0)]):
+            g = GameInstance(topology_from_edges(2, adj), (0.5, 0.5))
+            with pytest.raises(ValueError, match="no underlying out-neighbors"):
+                v_map(g, np.zeros(2))
+
+    def test_bitwise_equal_to_dense_mask_route(self):
+        rng = np.random.default_rng(0)
+        for seed in range(100):
+            g = random_game(seed, n_max=30)
+            x = rng.uniform(0.0, 10.0, size=g.n)
+            x[rng.random(g.n) < 0.2] = 0.0
+            np.testing.assert_array_equal(v_map(g, x), v_map_dense(g, x))
 
 
 class TestEquilibriumCentralities:
@@ -101,6 +121,11 @@ class TestEquilibriumCentralities:
         g = random_game(3, n_max=10)
         with pytest.raises(ArithmeticError, match="exceeds tol"):
             equilibrium_centralities(g, tol=1e-18)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_positive(self, i3, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            equilibrium_centralities(i3, tol=tol)
 
     def test_certificate_is_fixed_point_within_tol(self):
         g = random_game(3, n_max=10)
@@ -246,6 +271,11 @@ class TestIsNash:
         verdict = is_nash(i3, AllocationProfile.zeros(2))
         assert not verdict.is_nash
         assert verdict.residual == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_positive(self, i3, tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            is_nash(i3, AllocationProfile.zeros(2), tol=tol)
 
     def test_complete_instance_nash(self, i3, i3_ne):
         verdict = is_nash(i3, i3_ne)
