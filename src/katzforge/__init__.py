@@ -19,6 +19,7 @@ from .analysis import (
     check_hierarchy,
     check_scc_uniformity,
     export_condensation_dot,
+    parity_classes,
     run_structure_checks,
     scc_condensation,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "check_hierarchy",
     "check_scc_uniformity",
     "check_cycle_parity",
+    "parity_classes",
     "run_structure_checks",
     "export_condensation_dot",
 ]

@@ -4,6 +4,10 @@ topologies, hierarchy, SCC uniformity, condensation reporting, cycle parity.
 Checks carry a three-way status: each structural claim is only asserted
 under its hypotheses, so a check whose precondition fails reports
 "inapplicable" rather than pass or fail.
+
+Cycle parity covers every simple cycle of the support in polynomial time:
+it never lists cycles, it tests the parity classes that their 2-paths
+induce.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import numpy as np
 from .centrality import katz_solve
 from .game import DEFAULT_TOL
 from .instance import BUDGET_EQ_TOL, AllocationProfile, GameInstance
-
-DEFAULT_CYCLE_BOUND = 12
 
 PASS = "pass"
 FAIL = "fail"
@@ -229,51 +231,119 @@ def check_scc_uniformity(
     return CheckResult(name, PASS if not witnesses else FAIL, tuple(witnesses))
 
 
+def _closing_two_paths(a: np.ndarray) -> np.ndarray:
+    """Rows (u, v, w) of local indices into the strongly connected adjacency
+    ``a`` (no self-loops): every ordered pair u != w with u -> v -> w such that
+    w reaches u without v, i.e. every pair two steps apart on a simple cycle,
+    with v the smallest middle agent that closes one.  Rows sorted by (u, w)."""
+    m = len(a)
+    step = a.astype(np.float32)
+    mid = np.full((m, m), -1)
+    for v in range(m):
+        pred, succ = np.flatnonzero(a[:, v]), np.flatnonzero(a[v])
+        if len(pred) == 1 or len(succ) == 1:
+            # a shortest path from a successor back to a predecessor cannot
+            # pass v: it would enter v from its only predecessor, or leave it
+            # to its only successor, so it would revisit an agent
+            closes = np.ones((len(succ), len(pred)), dtype=bool)
+        else:
+            # breadth-first from all of v's successors at once, never entering v
+            reach = np.zeros((len(succ), m), dtype=bool)
+            reach[np.arange(len(succ)), succ] = True
+            frontier = reach
+            while frontier.any():
+                frontier = (frontier.astype(np.float32) @ step > 0) & ~reach
+                frontier[:, v] = False
+                reach |= frontier
+            closes = reach[:, pred]
+        wk, uk = np.nonzero(closes)
+        u, w = pred[uk], succ[wk]
+        new = (u != w) & (mid[u, w] < 0)
+        mid[u[new], w[new]] = v
+    u, w = np.nonzero(mid >= 0)
+    return np.column_stack([u, mid[u, w], w])
+
+
+def _parity_two_paths(support: nx.DiGraph, weights: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Parity classes of the ``support`` digraph of ``weights`` with their
+    closing 2-paths.
+
+    Every simple cycle x_1 -> ... -> x_L -> x_1 of length L >= 3 ties x_k to
+    x_{k+2}, and those ties are exactly its 2-paths; conversely a 2-path
+    u -> v -> w (u != w) lies on a simple cycle iff w reaches u without v.
+    Classes are the connected components of these ties, so an odd cycle puts
+    all its agents in one class and an even cycle its two alternating halves;
+    a class may join several cycles.  The work is done per strongly connected
+    component of m agents: each agent v runs one breadth-first pass from all
+    its successors at once, one dense (outdeg v) x m x m product per level,
+    and skips it when it has a single predecessor or successor, so a plain
+    cycle costs O(m).  Returns the classes of two or more agents, members
+    sorted and classes ordered by smallest member, each with its 2-paths as
+    rows (u, v, w) of 0-based agents."""
+    ties = nx.Graph()
+    rows = [np.empty((0, 3), dtype=int)]
+    for comp in nx.strongly_connected_components(support):
+        if len(comp) < 3:  # two agents close only u -> v -> u, no pair u != w
+            continue
+        idx = np.array(sorted(comp))
+        a = weights[np.ix_(idx, idx)] > 0
+        np.fill_diagonal(a, False)
+        rows.append(idx[_closing_two_paths(a)])
+        ties.add_edges_from(rows[-1][:, [0, 2]].tolist())
+    rows = np.concatenate(rows)
+    classes = sorted(tuple(sorted(comp)) for comp in nx.connected_components(ties))
+    return [(members, rows[np.isin(rows[:, 0], members)]) for members in classes]
+
+
+def parity_classes(w: AllocationProfile) -> tuple[tuple[int, ...], ...]:
+    """Parity classes (0-based, two or more agents each) of the support of
+    ``w``: the partition the cycle-parity check tests for uniformity."""
+    return tuple(members for members, _ in _parity_two_paths(_support_digraph(w), w.weights))
+
+
 def check_cycle_parity(
     g: GameInstance,
     w: AllocationProfile,
     tol: float = DEFAULT_TOL,
     centralities: np.ndarray | None = None,
-    cycle_bound: int = DEFAULT_CYCLE_BOUND,
 ) -> CheckResult:
     """On an undirected underlying topology, odd cycles of a Nash network are
     budget- and centrality-uniform and even cycles are uniform on each of the
-    two alternating classes.  Simple cycles are enumerated up to ``cycle_bound``."""
+    two alternating classes.  Every simple cycle is covered, in polynomial
+    time: each parity class (see ``parity_classes``) must have a budget
+    spread within ``BUDGET_EQ_TOL`` and a centrality spread within ``tol``.
+    A failing class gives one witness with its rule, its members and a simple
+    cycle that starts with the class's worst 2-path."""
     name = "cycle-parity"
     if not g.topology.is_symmetric():
         return CheckResult(name, INAPPLICABLE, details={"reason": "underlying topology not symmetric"})
     c = _centralities(w, centralities)
-    digraph = _support_digraph(w)
-
-    def class_witness(cycle, members, which):
-        buds = [g.budgets[v] for v in members]
-        cents = [float(c[v]) for v in members]
-        if max(buds) - min(buds) > BUDGET_EQ_TOL or max(cents) - min(cents) > tol:
-            return {
-                "cycle": [v + 1 for v in cycle],
-                "class": which,
-                "agents": [v + 1 for v in members],
-            }
-        return None
-
+    support = _support_digraph(w)
+    classes = _parity_two_paths(support, w.weights)
     witnesses = []
-    n_cycles = 0
-    for cycle in nx.simple_cycles(digraph, length_bound=cycle_bound):
-        n_cycles += 1
-        if len(cycle) % 2 == 1:
-            bad = class_witness(cycle, cycle, "all")
-            if bad:
-                witnesses.append(bad)
-        else:
-            for which, members in (("even", cycle[0::2]), ("odd", cycle[1::2])):
-                bad = class_witness(cycle, members, which)
-                if bad:
-                    witnesses.append(bad)
+    for members, rows in classes:
+        for rule, values, bound in (
+            ("budget-uniform", g.budget_array, BUDGET_EQ_TOL),
+            ("centrality-uniform", c, tol),
+        ):
+            vals = values[list(members)]
+            if vals.max() - vals.min() > bound:
+                u, v, x = rows[np.argmax(np.abs(values[rows[:, 0]] - values[rows[:, 2]]))].tolist()
+                # the worst 2-path, closed by a shortest x ~> u path avoiding v
+                back = nx.shortest_path(nx.restricted_view(support, [v], []), x, u)
+                witnesses.append(
+                    {
+                        "rule": rule,
+                        "agents": [a + 1 for a in members],
+                        "cycle": [a + 1 for a in [u, v] + back[:-1]],
+                    }
+                )
+                break
     return CheckResult(
         name,
         PASS if not witnesses else FAIL,
         tuple(witnesses),
-        details={"cycles_examined": n_cycles, "cycle_bound": cycle_bound},
+        details={"classes": len(classes)},
     )
 
 
@@ -281,7 +351,6 @@ def run_structure_checks(
     g: GameInstance,
     w: AllocationProfile,
     tol: float = DEFAULT_TOL,
-    cycle_bound: int = DEFAULT_CYCLE_BOUND,
 ) -> tuple[StructureReport, CondensationGraph]:
     """All applicable checks on one profile, sharing a single centrality solve."""
     c = katz_solve(w)
@@ -289,7 +358,7 @@ def run_structure_checks(
         check_complete_topology(g, w, tol, centralities=c),
         check_hierarchy(g, w, tol, centralities=c),
         check_scc_uniformity(g, w, tol, centralities=c),
-        check_cycle_parity(g, w, tol, centralities=c, cycle_bound=cycle_bound),
+        check_cycle_parity(g, w, tol, centralities=c),
     )
     cond = scc_condensation(w, budgets=g.budgets, centralities=c, centrality_tol=tol)
     return StructureReport(checks), cond

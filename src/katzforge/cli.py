@@ -282,14 +282,12 @@ def verify(instance: str, allocation: str, tol: float | None, out: str | None) -
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @click.argument("allocation", type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", type=float, default=None)
-@click.option("--cycle-bound", type=int, default=12, show_default=True, help="Max simple-cycle length to enumerate.")
 @click.option("-o", "--out", type=click.Path(dir_okay=False), default=None, help="Report file (stdout if omitted).")
 @click.option("--dot", "dot_out", type=click.Path(dir_okay=False), default=None, help="Write the condensation as DOT.")
 def analyze(
     instance: str,
     allocation: str,
     tol: float | None,
-    cycle_bound: int,
     out: str | None,
     dot_out: str | None,
 ) -> None:
@@ -300,7 +298,7 @@ def analyze(
     if not is_feasible(g, w):
         _emit_json({"meta": _meta(g, seed=None, tol=tol), "verdict": "infeasible"}, out)
         sys.exit(EXIT_INFEASIBLE)
-    report, cond = run_structure_checks(g, w, tol=tol, cycle_bound=cycle_bound)
+    report, cond = run_structure_checks(g, w, tol=tol)
     doc = {
         "meta": _meta(g, seed=None, tol=tol),
         **report.to_json_dict(),

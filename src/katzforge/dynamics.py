@@ -247,24 +247,26 @@ def write_trace_csv(trace: BrdTrace, path, meta: dict | None = None) -> None:
             fh.write(row_format % (s.step, agent, s.residual, *s.centralities.tolist()))
 
 
+def _json_floats(values: list[float], depth: int) -> str:
+    """A non-empty float list laid out as ``json.dump(indent=2)`` lays it out
+    at ``depth`` spaces; ``repr`` is the encoder's own float format."""
+    pad = " " * (depth + 2)
+    return "[\n" + pad + (",\n" + pad).join(map(repr, values)) + "\n" + " " * depth + "]"
+
+
 def write_trace_allocations_json(trace: BrdTrace, path, meta: dict | None = None) -> None:
-    """Sibling document to the CSV with the per-step allocation rows."""
+    """Sibling document to the CSV with the per-step allocation rows: the
+    bytes ``json.dump(doc, indent=2)`` writes, with the rows streamed out."""
     import json
 
-    doc = {
-        "meta": meta or {},
-        "status": trace.status,
-        "total_steps": trace.total_steps,
-        "steps": [
-            {
-                "step": s.step,
-                "agent": None if s.agent is None else s.agent + 1,
-                "row": None if s.row is None else [float(v) for v in s.row],
-            }
-            for s in trace.steps
-        ],
-        "terminal_weights": [[float(v) for v in row] for row in trace.terminal.weights],
-    }
+    head = {"meta": meta or {}, "status": trace.status, "total_steps": trace.total_steps}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "steps": [\n')
+        sep = ""
+        for s in trace.steps:
+            agent = "null" if s.agent is None else s.agent + 1
+            row = "null" if s.row is None else _json_floats(s.row.tolist(), 6)
+            fh.write(f'{sep}    {{\n      "step": {s.step},\n      "agent": {agent},\n      "row": {row}\n    }}')
+            sep = ",\n"
+        rows = ",\n".join("    " + _json_floats(r, 4) for r in trace.terminal.weights.tolist())
+        fh.write(f'\n  ],\n  "terminal_weights": [\n{rows}\n  ]\n}}\n')

@@ -134,10 +134,6 @@ class GameInstance:
     def b_max(self) -> float:
         return max(self.budgets)
 
-    def max_budget_agents(self, tol: float = BUDGET_EQ_TOL) -> tuple[int, ...]:
-        bm = self.b_max
-        return tuple(i for i, b in enumerate(self.budgets) if abs(b - bm) <= tol)
-
 
 @dataclass(frozen=True, eq=False)
 class AllocationProfile:

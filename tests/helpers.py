@@ -94,3 +94,15 @@ def random_feasible_profile(g: GameInstance, seed: int) -> AllocationProfile:
         target = g.budgets[i] * float(rng.uniform(0.1, 0.999))
         w[i, picks] = raw * (target / raw.sum())
     return AllocationProfile(w)
+
+
+def circulant_profile(g: GameInstance, degree: int, seed: int) -> AllocationProfile:
+    """Dense non-Nash profile on a complete topology: row i is positive on
+    agents i, i+1, ..., i+degree-1 (mod n) and spends 20-95% of B_i."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((g.n, g.n))
+    for i in range(g.n):
+        cols = [(i + s) % g.n for s in range(degree)]
+        raw = rng.uniform(0.1, 1.0, size=degree)
+        w[i, cols] = raw / raw.sum() * g.budgets[i] * rng.uniform(0.2, 0.95)
+    return AllocationProfile(w)

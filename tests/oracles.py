@@ -5,8 +5,9 @@ obtained by literal path enumeration (exponential, small cases) and by
 per-length series accumulation (any depth), Katz centralities by the
 truncated walk series, best responses by one full solve per single-edge
 allocation, c* by value iteration rather than policy iteration, and strongly
-connected components by transitive closure, so results can be checked
-against genuinely different computations.  ``v_map_dense`` keeps the
+connected components by transitive closure, and cycle-parity classes by
+enumerating simple cycles, so results can be checked against genuinely
+different computations.  ``v_map_dense`` keeps the
 dense-mask form of the v map, which the CSR route must match bitwise, and
 ``brd_reference`` keeps the
 dense two-loop form of the dynamics (one loop per mode) that ``run_brd``
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 import numpy as np
 
 from katzforge import (
@@ -32,7 +34,7 @@ from katzforge import (
 )
 from katzforge.dynamics import CONVERGED, STEP_LIMIT, STEP_LIMIT_FACTOR, _record
 from katzforge.game import DEFAULT_TOL, TIE_REL_TOL
-from katzforge.instance import require_feasible, require_valid
+from katzforge.instance import BUDGET_EQ_TOL, require_feasible, require_valid
 
 
 def katz_series(w: AllocationProfile | np.ndarray, depth: int) -> np.ndarray:
@@ -302,3 +304,41 @@ def same_scc_oracle(a: np.ndarray) -> np.ndarray:
         if np.array_equal(closed, reach):
             return reach & reach.T
         reach = closed
+
+
+def cycle_parity_oracle(
+    g: GameInstance,
+    w: AllocationProfile,
+    tol: float,
+    c: np.ndarray,
+    cycle_bound: int,
+) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """Cycle parity by listing every simple cycle of the support up to
+    ``cycle_bound`` agents (exponential): an odd cycle must be budget- and
+    centrality-uniform, an even one on each alternating half.  Returns the
+    per-cycle verdict ("pass"/"fail") and the classes of two or more agents
+    that the cycles' ties join, members sorted, ordered by smallest member."""
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(w.n))
+    digraph.add_edges_from(w.positive_edges())
+    parent = list(range(w.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    status = "pass"
+    for cycle in nx.simple_cycles(digraph, length_bound=cycle_bound):
+        halves = [cycle] if len(cycle) % 2 else [cycle[0::2], cycle[1::2]]
+        for members in halves:
+            buds = [g.budgets[v] for v in members]
+            cents = [float(c[v]) for v in members]
+            if max(buds) - min(buds) > BUDGET_EQ_TOL or max(cents) - min(cents) > tol:
+                status = "fail"
+            for v in members[1:]:
+                parent[find(v)] = find(members[0])
+    groups: dict[int, list[int]] = {}
+    for v in range(w.n):
+        groups.setdefault(find(v), []).append(v)
+    return status, tuple(sorted(tuple(m) for m in groups.values() if len(m) > 1))

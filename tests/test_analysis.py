@@ -1,7 +1,14 @@
 import networkx as nx
 import numpy as np
 
-from helpers import complete_instance, find_ne, random_feasible_profile, random_game
+from helpers import (
+    circulant_profile,
+    complete_instance,
+    find_ne,
+    random_feasible_profile,
+    random_game,
+    undirected_game,
+)
 from katzforge import (
     AllocationProfile,
     BrdConfig,
@@ -13,12 +20,13 @@ from katzforge import (
     export_condensation_dot,
     is_nash,
     katz_solve,
+    parity_classes,
     run_brd,
     run_structure_checks,
     scc_condensation,
     topology_from_edges,
 )
-from oracles import same_scc_oracle
+from oracles import cycle_parity_oracle, same_scc_oracle
 
 REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
 
@@ -196,7 +204,8 @@ class TestCycleParityCheck:
         assert is_nash(g, profile).is_nash
         result = check_cycle_parity(g, profile)
         assert result.status == "pass"
-        assert result.details["cycles_examined"] >= 1
+        assert parity_classes(profile) == ((0, 1, 2),)
+        assert result.details == {"classes": 1}
 
     def test_four_cycle_alternating_classes(self):
         edges = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)]
@@ -206,6 +215,7 @@ class TestCycleParityCheck:
         profile = AllocationProfile(w)
         assert is_nash(g, profile, tol=1e-10).is_nash
         assert check_cycle_parity(g, profile).status == "pass"
+        assert parity_classes(profile) == ((0, 2), (1, 3))
 
     def test_violating_cycle_reported(self):
         # directed 2-cycle with unequal... even classes are singletons, so use
@@ -224,6 +234,71 @@ class TestCycleParityCheck:
         # (0, 1) present without (1, 0): not symmetric
         g = GameInstance(topology_from_edges(2, [(0, 1), (0, 0), (1, 1)]), (0.5, 0.25))
         assert check_cycle_parity(g, AllocationProfile.zeros(2)).status == "inapplicable"
+
+
+class TestParityClasses:
+    """The 2-path parity classes against simple-cycle enumeration."""
+
+    @staticmethod
+    def random_digraph(seed: int) -> AllocationProfile:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 10))
+        mask = rng.random((n, n)) < rng.uniform(0.1, 0.6)
+        return AllocationProfile(mask * rng.uniform(0.1, 1.0, (n, n)) / n)
+
+    def test_partition_matches_unbounded_enumeration(self):
+        nontrivial = 0
+        for seed in range(300):
+            w = self.random_digraph(seed)
+            g = complete_instance((0.5,) * w.n)
+            _, expected = cycle_parity_oracle(g, w, 1e-10, np.zeros(w.n), cycle_bound=w.n)
+            assert parity_classes(w) == expected, seed
+            nontrivial += bool(expected)
+        assert nontrivial > 150
+
+    def test_verdict_matches_enumeration_on_separated_values(self):
+        # values are exactly equal or 0.3 apart, so chaining within tol
+        # cannot tell a class-wide test from a per-cycle one
+        verdicts = {"pass": 0, "fail": 0}
+        for seed in range(150):
+            rng = np.random.default_rng(seed + 7000)
+            topo = undirected_game(seed, n_min=3, n_max=9).topology
+            levels = 1 if rng.random() < 0.5 else 2
+            budgets = tuple(0.3 * float(rng.integers(1, levels + 1)) for _ in range(topo.n))
+            g = GameInstance(topo, budgets)
+            w = random_feasible_profile(g, seed)
+            levels = 1 if rng.random() < 0.5 else 3
+            c = rng.integers(1, levels + 1, size=g.n).astype(float)
+            expected, _ = cycle_parity_oracle(g, w, 1e-10, c, cycle_bound=g.n)
+            result = check_cycle_parity(g, w, 1e-10, centralities=c)
+            assert result.status == expected, seed
+            assert (len(result.witnesses) > 0) == (expected == "fail")
+            verdicts[expected] += 1
+        assert min(verdicts.values()) >= 30
+
+    def test_witness_cycles_run_through_their_class(self):
+        for n in (12, 16, 100):
+            g = complete_instance((0.5,) * n)
+            w = circulant_profile(g, 5, seed=n)
+            result = check_cycle_parity(g, w)
+            assert result.status == "fail" and result.witnesses
+            for witness in result.witnesses:
+                agents = witness["agents"]
+                assert agents == sorted(set(agents))
+                cycle = [a - 1 for a in witness["cycle"]]
+                assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+                assert all(w.weights[a, b] > 0 for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+                assert {cycle[0] + 1, cycle[2] + 1} <= set(agents)
+
+    def test_functional_graph_cycles(self):
+        # out-degree one, as at BRD terminals: odd cycles give one class,
+        # even cycles two, and a tree feeding a cycle adds nothing
+        n = 12
+        w = np.zeros((n, n))
+        for a, b in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (7, 3), (8, 7)]:
+            w[a, b] = 0.5
+        w[9, 9] = w[10, 11] = w[11, 10] = 0.5
+        assert parity_classes(AllocationProfile(w)) == ((0, 1, 2), (3, 5), (4, 6))
 
 
 class TestSinkDominance:

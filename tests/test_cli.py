@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import complete_instance
+import katzforge
+from helpers import circulant_profile, complete_instance
 from katzforge import AllocationProfile, serialize_allocation, serialize_instance
 from katzforge.cli import main
 
@@ -258,6 +263,48 @@ class TestAnalyze:
         alloc = tmp_path / "w.json"
         alloc.write_text(serialize_allocation(AllocationProfile(np.array([[0.9, 0.0], [0.0, 0.0]]))))
         assert main(["analyze", str(i3_file), str(alloc)]) == 3
+
+    @staticmethod
+    def dense_files(tmp_path, n):
+        """Complete topology, budgets 0.5, and a 5-per-row circulant profile."""
+        g = complete_instance((0.5,) * n)
+        inst, alloc = tmp_path / f"k{n}.json", tmp_path / f"k{n}-w.json"
+        inst.write_text(serialize_instance(g))
+        alloc.write_text(serialize_allocation(circulant_profile(g, 5, seed=n)))
+        return inst, alloc
+
+    def test_dense_n16_finishes_with_class_witnesses(self, tmp_path):
+        # listing simple cycles up to length 12 did not finish here in 120 s
+        inst, alloc = self.dense_files(tmp_path, 16)
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(inst), str(alloc), "-o", str(out)]) == 0
+        parity = {c["name"]: c for c in json.loads(out.read_text())["checks"]}["cycle-parity"]
+        assert parity["status"] == "fail" and parity["witnesses"]
+        weights = np.array(json.loads(alloc.read_text())["weights"])
+        for witness in parity["witnesses"]:
+            cycle = [a - 1 for a in witness["cycle"]]
+            assert len(set(cycle)) == len(cycle) >= 3
+            assert all(weights[a, b] > 0 for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            assert {cycle[0] + 1, cycle[2] + 1} <= set(witness["agents"])
+
+    def test_cycle_bound_option_is_gone(self, tmp_path):
+        inst, alloc = self.dense_files(tmp_path, 6)
+        assert main(["analyze", str(inst), str(alloc), "--cycle-bound", "5"]) == 1
+
+    def test_report_bytes_independent_of_hash_seed(self, tmp_path):
+        inst, alloc = self.dense_files(tmp_path, 12)
+        src = str(Path(katzforge.__file__).resolve().parents[1])
+        reports = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"report-{hash_seed}.json"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            code = "import sys; from katzforge.cli import main; sys.exit(main(sys.argv[1:]))"
+            subprocess.run(
+                [sys.executable, "-c", code, "analyze", str(inst), str(alloc), "-o", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestTolerance:

@@ -408,3 +408,22 @@ class TestTraceArtifacts:
         assert doc["steps"][0]["agent"] is None
         assert doc["steps"][1]["agent"] == 1
         np.testing.assert_array_equal(doc["terminal_weights"], trace.terminal.weights)
+
+    @pytest.mark.parametrize("meta", [{"seed": 9, "tol": 1e-10}, None])
+    def test_allocations_json_exact_bytes(self, i3, tmp_path, meta):
+        # agent 2 never moves, so its 17-digit initial row is the terminal one
+        w0 = AllocationProfile(np.array([[0.1, 0.2], [0.05, 1 / 30]]))
+        cfg = BrdConfig(scheduler=Scheduler.explicit([0]), max_steps=1, tol=1e-10)
+        trace = run_brd(i3, w0, cfg)
+        path = tmp_path / "trace.alloc.json"
+        write_trace_allocations_json(trace, path, meta=meta)
+        meta_text = b'{\n    "seed": 9,\n    "tol": 1e-10\n  }' if meta else b"{}"
+        assert path.read_bytes() == (
+            b'{\n  "meta": ' + meta_text + b',\n'
+            b'  "status": "step-limit",\n  "total_steps": 1,\n  "steps": [\n'
+            b'    {\n      "step": 0,\n      "agent": null,\n      "row": null\n    },\n'
+            b'    {\n      "step": 1,\n      "agent": 1,\n      "row": [\n'
+            b"        0.5,\n        0.0\n      ]\n    }\n  ],\n"
+            b'  "terminal_weights": [\n    [\n      0.5,\n      0.0\n    ],\n'
+            b"    [\n      0.05,\n      0.03333333333333333\n    ]\n  ]\n}\n"
+        )
