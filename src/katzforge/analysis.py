@@ -48,10 +48,6 @@ class CondensationGraph:
     components: tuple[SccComponent, ...]
     edges: frozenset[tuple[int, int]]
 
-    @property
-    def sinks(self) -> tuple[int, ...]:
-        return tuple(k for k, comp in enumerate(self.components) if comp.is_sink)
-
     def component_of(self, agent: int) -> int:
         for k, comp in enumerate(self.components):
             if agent in comp.members:

@@ -27,7 +27,7 @@ from .dynamics import (
     write_trace_allocations_json,
     write_trace_csv,
 )
-from .game import equilibrium_centralities, is_nash, require_tol
+from .game import DEFAULT_TOL, equilibrium_centralities, is_nash, require_tol
 from .instance import (
     AllocationProfile,
     FeasibilityError,
@@ -43,7 +43,6 @@ from .instance import (
 )
 
 TOL_ENV_VAR = "KATZFORGE_TOL"
-DEFAULT_CLI_TOL = 1e-10
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -60,7 +59,7 @@ def _resolve_tol(flag: float | None) -> float:
         except ValueError:
             raise click.UsageError(f"{TOL_ENV_VAR} is not a number: {os.environ[TOL_ENV_VAR]!r}")
     else:
-        tol = DEFAULT_CLI_TOL
+        tol = DEFAULT_TOL
     try:
         require_tol(tol)
     except ValueError as exc:
@@ -165,7 +164,7 @@ def gen(n: int, density: float, self_loops: bool, budget_spec: str, seed: int, o
 
 @cli.command()
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=None, help=f"Tolerance (default {DEFAULT_CLI_TOL}, env {TOL_ENV_VAR}).")
+@click.option("--tol", type=float, default=None, help=f"Tolerance (default {DEFAULT_TOL}, env {TOL_ENV_VAR}).")
 @click.option("-o", "--out", type=click.Path(dir_okay=False), default=None, help="Certificate file (stdout if omitted).")
 def equilibrium(instance: str, tol: float | None, out: str | None) -> None:
     """Compute the unique equilibrium centralities c* with a certificate."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .centrality import Resolvent
 from .game import DEFAULT_TOL, best_response, improvement_gaps, require_tol
-from .instance import AllocationProfile, GameInstance, require_feasible, require_valid
+from .instance import AllocationProfile, GameInstance, _philox, require_feasible, require_valid
 
 # Default step limit for standard BRD, per agent (convergence is asymptotic).
 STEP_LIMIT_FACTOR = 500
@@ -81,8 +81,7 @@ class _ScheduleState:
         self._cursor = 0
         self._sequence = scheduler.sequence
         if self._kind == UNIFORM_RANDOM:
-            # counter-based generator: identical streams on every platform
-            self._rng = np.random.Generator(np.random.Philox(scheduler.seed))
+            self._rng = _philox(scheduler.seed)
         if self._sequence is not None:
             for i in self._sequence:
                 if not 0 <= i < n:

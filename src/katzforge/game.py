@@ -107,19 +107,23 @@ def equilibrium_centralities(g: GameInstance, tol: float = DEFAULT_TOL) -> Equil
     """
     require_valid(g)
     require_tol(tol)
-    support = g.topology.support_mask
+    cols, offsets = g.topology.neighbor_index
+    starts = offsets[:-1]
     agents = np.arange(g.n)
-    succ = support.argmax(axis=1)  # any start will do: first neighbor
+    succ = cols[starts]  # any start will do: first neighbor
     rounds = 0
     while True:
         policy = np.zeros((g.n, g.n))
         policy[agents, succ] = g.budget_array
         c, gaps = improvement_gaps(g, policy)
         rounds += 1
-        scores = np.where(support, c, -np.inf)
-        best = scores.argmax(axis=1)
+        scores = c[cols]
+        top = np.maximum.reduceat(scores, starts)
+        # cols ascend in each run, so the first maximal entry is the smallest-index argmax
+        at_top = np.flatnonzero(scores == np.repeat(top, np.diff(offsets)))
+        best = cols[at_top[np.searchsorted(at_top, starts)]]
         margin = SWITCH_MARGIN_ULPS * np.finfo(float).eps * c.max()
-        switch = scores[agents, best] > c[succ] + margin
+        switch = top > c[succ] + margin
         if not switch.any():
             break
         succ = np.where(switch, best, succ)
@@ -149,16 +153,10 @@ class BestResponseResult:
         self.canonical.setflags(write=False)
 
 
-def _tied_argmax(candidates: list[tuple[int, float]], rel_tol: float) -> tuple[int, ...]:
-    top = max(v for _, v in candidates)
-    return tuple(sorted(j for j, v in candidates if v >= top * (1.0 - rel_tol)))
-
-
 def best_response(
     g: GameInstance,
     i: int,
     w: AllocationProfile,
-    tie_tol: float = TIE_REL_TOL,
     *,
     wd: WalkDecomposition | None = None,
 ) -> BestResponseResult:
@@ -173,7 +171,9 @@ def best_response(
     if wd is None:
         wd = walk_decomposition(g, w, i)
     scores = [(j, float(wd.f[j])) for j in wd.neighbors]
-    argmax_set = _tied_argmax(scores, tie_tol)
+    top = max(v for _, v in scores)
+    # neighbors ascend, so the tied set does too
+    argmax_set = tuple(j for j, v in scores if v >= top * (1.0 - TIE_REL_TOL))
     j_star = argmax_set[0]
     canonical = np.zeros(g.n)
     canonical[j_star] = g.budgets[i]

@@ -6,7 +6,9 @@ the Python API; the parser/serializer is the only place that converts.
 
 from __future__ import annotations
 
+import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -43,7 +45,9 @@ def _philox(seed: int) -> np.random.Generator:
 class UnderlyingTopology:
     """Unweighted digraph constraining who may allocate to whom.
 
-    ``adj`` holds ordered pairs (i, j), 0-based, self-pairs permitted.
+    ``adj`` holds ordered pairs (i, j), 0-based, self-pairs permitted; it is
+    the canonical value (equality, hashing, serialization).  Neighborhood
+    reads go through ``neighbor_index``, its one derived view.
     """
 
     n: int
@@ -52,39 +56,33 @@ class UnderlyingTopology:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"agent count must be positive, got {self.n}")
+        endpoint_types = set(map(type, itertools.chain.from_iterable(self.adj)))
+        if not all(_is_index_type(t) for t in endpoint_types):
+            bad = next(e for e in self.adj if not all(_is_index_type(type(v)) for v in e))
+            raise ValueError(f"edge {bad!r} has a non-integer endpoint")
         object.__setattr__(self, "adj", frozenset((int(i), int(j)) for i, j in self.adj))
         for i, j in self.adj:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
 
     @cached_property
-    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Out-neighbor sets in the underlying topology, ascending per agent."""
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.adj:
-            out[i].append(j)
-        return tuple(tuple(sorted(js)) for js in out)
-
-    def out_neighbors(self, i: int) -> tuple[int, ...]:
-        return self.neighbor_lists[i]
-
-    @cached_property
     def neighbor_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """``neighbor_lists`` in CSR form: the concatenated column indices and
-        the n + 1 offsets at which each agent's run starts and ends."""
-        offsets = np.cumsum([0] + [len(js) for js in self.neighbor_lists])
-        cols = np.array([j for js in self.neighbor_lists for j in js], dtype=np.intp)
+        """Out-neighbors in CSR form: agent i's are ``cols[offsets[i]:offsets[i + 1]]``,
+        ascending; ``offsets`` has n + 1 entries."""
+        flat = np.fromiter(
+            itertools.chain.from_iterable(self.adj), dtype=np.intp, count=2 * len(self.adj)
+        )
+        keys = np.sort(flat[0::2] * self.n + flat[1::2])  # row-major order
+        cols = keys % self.n
+        offsets = np.searchsorted(keys, np.arange(self.n + 1) * self.n)
         for arr in (cols, offsets):
             arr.setflags(write=False)
         return cols, offsets
 
-    @cached_property
-    def support_mask(self) -> np.ndarray:
-        mask = np.zeros((self.n, self.n), dtype=bool)
-        for i, j in self.adj:
-            mask[i, j] = True
-        mask.setflags(write=False)
-        return mask
+    def out_neighbors(self, i: int) -> tuple[int, ...]:
+        """Agent i's underlying out-neighbors, ascending."""
+        cols, offsets = self.neighbor_index
+        return tuple(cols[offsets[i] : offsets[i + 1]].tolist())
 
     def has_all_self_loops(self) -> bool:
         return all((i, i) in self.adj for i in range(self.n))
@@ -94,7 +92,14 @@ class UnderlyingTopology:
         return len(self.adj) == self.n * self.n
 
     def is_symmetric(self) -> bool:
-        return all((j, i) in self.adj for i, j in self.adj)
+        cols, offsets = self.neighbor_index
+        rows = np.repeat(np.arange(self.n), np.diff(offsets))
+        return bool(np.array_equal(rows * self.n + cols, np.sort(cols * self.n + rows)))
+
+
+def _is_index_type(t: type) -> bool:
+    # Python and numpy integers; bool is an int subclass but not an agent index
+    return issubclass(t, numbers.Integral) and not issubclass(t, bool)
 
 
 @dataclass(frozen=True)
@@ -194,13 +199,11 @@ def validate_instance(g: GameInstance) -> ValidationReport:
     """Report-style check of the standing requirements: every agent needs at
     least one permitted out-edge, and budgets must sit strictly inside (0, 1)
     so the induced walk series always converges."""
-    violations: list[str] = []
-    for i in range(g.n):
-        if not g.topology.out_neighbors(i):
-            violations.append(
-                f"agent {i + 1}: empty out-neighborhood in underlying topology"
-                " (nonempty-neighborhood rule)"
-            )
+    _, offsets = g.topology.neighbor_index
+    violations = [
+        f"agent {i + 1}: empty out-neighborhood in underlying topology (nonempty-neighborhood rule)"
+        for i in np.flatnonzero(np.diff(offsets) == 0).tolist()
+    ]
     for i, b in enumerate(g.budgets):
         if not (0 < b < 1):
             violations.append(f"agent {i + 1}: budget {b!r} outside (0, 1) (budget-bound rule)")
@@ -217,7 +220,10 @@ def is_feasible(g: GameInstance, w: AllocationProfile) -> bool:
     """True iff every row obeys the support and budget constraints."""
     if w.n != g.n:
         raise ValueError(f"profile is {w.n}x{w.n} but instance has n={g.n}")
-    if np.any((w.weights > 0) & ~g.topology.support_mask):
+    cols, offsets = g.topology.neighbor_index
+    rows = np.repeat(np.arange(g.n), np.diff(offsets))
+    positive = w.weights > 0
+    if np.count_nonzero(positive) != np.count_nonzero(positive[rows, cols]):
         return False
     return bool(np.all(w.weights.sum(axis=1) <= g.budget_array))
 
@@ -386,26 +392,21 @@ def generate_random_instance(
         raise ValueError(f"budget_range must sit inside (0, 1), got {budget_range}")
 
     rng = _philox(seed)
-    adj: set[tuple[int, int]] = set()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if rng.random() < edge_density:
-                adj.add((i, j))
+    support = np.zeros((n, n), dtype=bool)
+    support[~np.eye(n, dtype=bool)] = rng.random(n * (n - 1)) < edge_density  # row-major
     if self_loops:
-        adj.update((i, i) for i in range(n))
-    for i in range(n):
-        if not any(e[0] == i for e in adj):
-            if n == 1:
-                adj.add((0, 0))
-            else:
-                # uniform over the n-1 non-self targets
-                j = int(rng.integers(n - 1))
-                adj.add((i, j if j < i else j + 1))
+        np.fill_diagonal(support, True)
+    for i in np.flatnonzero(~support.any(axis=1)).tolist():
+        if n == 1:
+            support[0, 0] = True
+        else:
+            # uniform over the n-1 non-self targets
+            j = int(rng.integers(n - 1))
+            support[i, j if j < i else j + 1] = True
 
     budgets = tuple(float(b) for b in rng.uniform(lo, hi, size=n))
-    return GameInstance(UnderlyingTopology(n, frozenset(adj)), budgets)
+    rows, cols = np.nonzero(support)
+    return GameInstance(UnderlyingTopology(n, frozenset(zip(rows.tolist(), cols.tolist()))), budgets)
 
 
 def random_profile(g: GameInstance, seed: int) -> AllocationProfile:

@@ -7,11 +7,11 @@ truncated walk series, best responses by one full solve per single-edge
 allocation, c* by value iteration rather than policy iteration, and strongly
 connected components by transitive closure, and cycle-parity classes by
 enumerating simple cycles, so results can be checked against genuinely
-different computations.  ``v_map_dense`` keeps the
-dense-mask form of the v map, which the CSR route must match bitwise, and
-``brd_reference`` keeps the
-dense two-loop form of the dynamics (one loop per mode) that ``run_brd``
-must reproduce bitwise.
+different computations.  ``v_map_dense`` and ``equilibrium_dense_oracle``
+keep the dense-mask forms of the v map and of policy iteration, which the CSR
+routes must match bitwise, and ``brd_reference`` keeps the dense two-loop
+form of the dynamics (one loop per mode) that ``run_brd`` must reproduce
+bitwise.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from katzforge import (
     BestResponseResult,
     BrdConfig,
     BrdTrace,
+    EquilibriumCertificate,
     GameInstance,
     best_response,
     is_nash,
@@ -33,7 +34,7 @@ from katzforge import (
     v_map,
 )
 from katzforge.dynamics import CONVERGED, STEP_LIMIT, STEP_LIMIT_FACTOR, _record
-from katzforge.game import DEFAULT_TOL, TIE_REL_TOL
+from katzforge.game import DEFAULT_TOL, SWITCH_MARGIN_ULPS, TIE_REL_TOL, improvement_gaps
 from katzforge.instance import BUDGET_EQ_TOL, require_feasible, require_valid
 
 
@@ -52,13 +53,58 @@ def katz_series(w: AllocationProfile | np.ndarray, depth: int) -> np.ndarray:
     return acc
 
 
+def support_mask(g: GameInstance) -> np.ndarray:
+    """Dense n x n boolean mask of the underlying topology, built from ``adj``."""
+    mask = np.zeros((g.n, g.n), dtype=bool)
+    for i, j in g.topology.adj:
+        mask[i, j] = True
+    return mask
+
+
+def is_feasible_dense(g: GameInstance, w: AllocationProfile) -> bool:
+    """Support and budget test through the dense mask, the reference for
+    ``is_feasible``."""
+    off_support = (w.weights > 0) & ~support_mask(g)
+    return not off_support.any() and bool(np.all(w.weights.sum(axis=1) <= g.budget_array))
+
+
 def v_map_dense(g: GameInstance, x: np.ndarray) -> np.ndarray:
     """v_i(x) = B_i (1 + max_{j in N_i} x_j) through the dense n x n support
     mask; max is exact, so ``v_map`` must agree bitwise."""
-    best = np.where(g.topology.support_mask, x[np.newaxis, :], -np.inf).max(axis=1)
+    best = np.where(support_mask(g), x[np.newaxis, :], -np.inf).max(axis=1)
     if np.any(np.isneginf(best)):
         raise ValueError("an agent has no underlying out-neighbors")
     return g.budget_array * (1.0 + best)
+
+
+def equilibrium_dense_oracle(g: GameInstance, tol: float = DEFAULT_TOL) -> EquilibriumCertificate:
+    """Policy iteration with the neighbor argmax taken over an n x n score
+    matrix masked by the dense support; ``equilibrium_centralities`` must
+    match its c*, round count and residual bitwise."""
+    require_valid(g)
+    support = support_mask(g)
+    agents = np.arange(g.n)
+    succ = support.argmax(axis=1)  # any start will do: first neighbor
+    rounds = 0
+    while True:
+        policy = np.zeros((g.n, g.n))
+        policy[agents, succ] = g.budget_array
+        c, gaps = improvement_gaps(g, policy)
+        rounds += 1
+        scores = np.where(support, c, -np.inf)
+        best = scores.argmax(axis=1)
+        margin = SWITCH_MARGIN_ULPS * np.finfo(float).eps * c.max()
+        switch = scores[agents, best] > c[succ] + margin
+        if not switch.any():
+            break
+        succ = np.where(switch, best, succ)
+
+    residual = float(np.max(np.abs(gaps)))
+    if residual > tol:
+        raise ArithmeticError(f"equilibrium residual {residual} exceeds tol {tol}")
+    return EquilibriumCertificate(
+        c_star=c, iterations=rounds, residual=residual, contraction_rate=g.b_max, tol=tol
+    )
 
 
 def best_response_oracle(

@@ -18,6 +18,7 @@ from katzforge import (
 )
 from oracles import (
     best_response_oracle,
+    equilibrium_dense_oracle,
     unilateral_swap_check,
     v_map_dense,
     value_iteration_oracle,
@@ -106,6 +107,23 @@ class TestEquilibriumCentralities:
             cert = equilibrium_centralities(g, tol=tol)
             assert cert.residual <= tol
 
+    @pytest.mark.parametrize("b_hi", [0.85, 0.99, 0.999])
+    def test_bitwise_equal_to_dense_mask_oracle(self, b_hi):
+        for seed in range(80):
+            _assert_same_certificate(random_game(seed, n_max=40, budget_hi=b_hi))
+
+    def test_bitwise_equal_to_dense_mask_oracle_on_two_level_budgets(self):
+        # tie order and the switch margin decide the rounds here
+        for seed in range(80):
+            rng = np.random.default_rng(1000 + seed)
+            n = int(rng.integers(5, 40))
+            g = generate_random_instance(
+                n, float(rng.uniform(0.05, 0.8)), bool(rng.random() < 0.5), (0.99, 0.99), seed
+            )
+            _assert_same_certificate(
+                GameInstance(g.topology, tuple(rng.choice([0.99, 0.999], n).tolist()))
+            )
+
     @given(seed=st.integers(0, 500), b_hi=st.sampled_from([0.85, 0.99, 0.999, 0.9999]))
     @settings(max_examples=60, deadline=None)
     def test_argmax_profile_of_c_star_is_nash(self, seed, b_hi):
@@ -138,6 +156,12 @@ class TestEquilibriumCentralities:
         g = GameInstance(topology_from_edges(1, [(0, 0)]), (1.5,))
         with pytest.raises(ValueError, match="budget-bound"):
             equilibrium_centralities(g)
+
+
+def _assert_same_certificate(g: GameInstance) -> None:
+    got, want = equilibrium_centralities(g), equilibrium_dense_oracle(g)
+    assert got.c_star.tobytes() == want.c_star.tobytes()
+    assert (got.iterations, got.residual) == (want.iterations, want.residual)
 
 
 class TestBestResponse:

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -22,6 +24,7 @@ from katzforge import (
     topology_from_edges,
     validate_instance,
 )
+from oracles import is_feasible_dense
 
 
 class TestValidation:
@@ -49,6 +52,64 @@ class TestValidation:
         assert len(report.violations) == 3  # missing out-edges for agents 2,3; bad budget for agent 2
 
 
+def _random_digraph(rng: np.random.Generator) -> tuple[int, set[tuple[int, int]]]:
+    """Random edge set on up to 15 agents; rows may be empty."""
+    n = int(rng.integers(1, 16))
+    keep = rng.random((n, n)) < rng.uniform(0.0, 0.6)
+    if rng.random() < 0.4:
+        keep |= keep.T
+    return n, {(i, j) for i, j in zip(*np.nonzero(keep))}
+
+
+class TestTopology:
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0.7, 1), (1, 1)],
+            [(0, 1), (1, 1.9)],
+            [(True, False)],
+            [(0, np.float64(1.0))],
+            [(np.bool_(True), 0)],
+        ],
+    )
+    def test_non_integer_endpoints_rejected(self, edges):
+        with pytest.raises(ValueError, match="non-integer endpoint") as exc:
+            topology_from_edges(2, edges)
+        bad = next(e for e in edges if not all(type(v) is int for v in e))
+        assert repr(bad) in str(exc.value)
+
+    def test_numpy_integer_endpoints_accepted(self):
+        top = topology_from_edges(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 1)])
+        assert top.adj == frozenset({(0, 2), (1, 1)})
+        assert all(type(v) is int for e in top.adj for v in e)
+
+    def test_neighbor_index_runs_ascend_and_match_out_degrees(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n, adj = _random_digraph(rng)
+            top = topology_from_edges(n, adj)
+            cols, offsets = top.neighbor_index
+            assert offsets.shape == (n + 1,) and offsets[0] == 0 and offsets[-1] == len(adj)
+            degrees = [sum(1 for i, _ in adj if i == k) for k in range(n)]
+            assert np.diff(offsets).tolist() == degrees
+            for i in range(n):
+                run = cols[offsets[i] : offsets[i + 1]]
+                assert np.all(np.diff(run) > 0)
+                assert top.out_neighbors(i) == tuple(sorted(j for k, j in adj if k == i))
+
+    def test_is_symmetric_matches_edge_set_oracle(self):
+        rng = np.random.default_rng(1)
+        seen = set()
+        for _ in range(300):
+            n, adj = _random_digraph(rng)
+            if adj and rng.random() < 0.3:
+                adj.discard(sorted(adj)[int(rng.integers(len(adj)))])
+            want = {(j, i) for i, j in adj} == adj
+            assert topology_from_edges(n, adj).is_symmetric() == want
+            seen.add(want)
+        assert seen == {True, False}
+
+
 class TestFeasibility:
     def test_budget_exactly_met(self, i1):
         assert is_feasible(i1, AllocationProfile(np.array([[0.5]])))
@@ -74,6 +135,22 @@ class TestFeasibility:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             AllocationProfile(np.zeros((2, 3)))
+
+    def test_matches_dense_mask_oracle_on_perturbed_profiles(self):
+        rng = np.random.default_rng(2)
+        verdicts = []
+        for seed in range(150):
+            g = generate_random_instance(
+                int(rng.integers(1, 25)), float(rng.uniform(0.0, 0.7)), bool(seed % 2),
+                (0.1, 0.9), seed,
+            )
+            w = np.array(random_profile(g, seed).weights)
+            i, j = (int(v) for v in rng.integers(g.n, size=2))
+            w[i, j] += float(rng.choice([1e-12, 1e-3]))  # off the support or over budget, or neither
+            profile = AllocationProfile(w)
+            verdicts.append(is_feasible(g, profile))
+            assert verdicts[-1] == is_feasible_dense(g, profile)
+        assert set(verdicts) == {True, False}
 
 
 class TestRescale:
@@ -209,6 +286,19 @@ class TestGenerator:
     def test_bad_budget_range(self):
         with pytest.raises(ValueError, match="budget_range"):
             generate_random_instance(3, 0.5, True, (0.0, 0.9), seed=0)
+
+    def test_pinned_output_digest(self):
+        # one Philox stream per seed: pair draws in row-major order, then one
+        # draw per empty row in ascending agent order, then the budgets
+        digest = hashlib.sha256()
+        for n, density, self_loops, seed in itertools.product(
+            (1, 2, 7, 60, 200), (0.0, 0.05, 0.5, 1.0), (False, True), (3, 11)
+        ):
+            g = generate_random_instance(n, density, self_loops, (0.1, 0.9), seed)
+            digest.update(serialize_instance(g).encode())
+        assert digest.hexdigest() == (
+            "0a95feec408f9bffdb22c34cb351b3fffd2f2ae3134baf11b7209c4eb5846ad9"
+        )
 
 
 class TestRandomProfile:
