@@ -83,6 +83,21 @@ class TestTopology:
         assert top.adj == frozenset({(0, 2), (1, 1)})
         assert all(type(v) is int for e in top.adj for v in e)
 
+    @pytest.mark.parametrize(
+        "edge, shown",
+        [
+            ((0, 10**30), "(0, 1000000000000000000000000000000)"),
+            ((-1, 0), "(-1, 0)"),
+            ((np.int64(-1), np.int64(0)), "(-1, 0)"),
+            ((np.uint64(2**64 - 1), 0), "(18446744073709551615, 0)"),
+            ((1, 2), "(1, 2)"),
+        ],
+    )
+    def test_out_of_range_endpoint_message(self, edge, shown):
+        with pytest.raises(ValueError) as exc:
+            topology_from_edges(2, [(0, 1), edge])
+        assert str(exc.value) == f"edge {shown} out of range for n=2"
+
     def test_neighbor_index_runs_ascend_and_match_out_degrees(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -207,6 +222,28 @@ class TestDocuments:
     def test_out_of_range_edge(self):
         with pytest.raises(ParseError, match=r"edges\[0\]"):
             parse_instance('{"n": 1, "edges": [[1, 2]], "budgets": [0.5]}')
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ("{}", "edges: must be a list of [i, j] pairs"),
+            ("[[1, 2], 5]", "edges[1]: must be a pair of integers"),
+            ("[[1, 2], [2, 1, 1]]", "edges[1]: must be a pair of integers"),
+            ("[[2]]", "edges[0]: must be a pair of integers"),
+            ("[[1, 2], [true, 1]]", "edges[1]: must be a pair of integers"),
+            ("[[1.0, 2]]", "edges[0]: must be a pair of integers"),
+            ('[[1, "2"]]', "edges[0]: must be a pair of integers"),
+            ("[[1, 2], [2, 0]]", "edges[1]: agent index out of range 1..2"),
+            ("[[1, 3]]", "edges[0]: agent index out of range 1..2"),
+            (f"[[1, 2], [{10**30}, 1]]", "edges[1]: agent index out of range 1..2"),
+            ("[[1, 2], [2, 1], [2, 2], [1, 2]]", "edges[3]: duplicate edge [1, 2]"),
+        ],
+    )
+    def test_edge_error_messages(self, edges, message):
+        with pytest.raises(ParseError) as exc:
+            parse_instance(f'{{"n": 2, "edges": {edges}, "budgets": [0.5, 0.5]}}')
+        assert str(exc.value) == message
+        assert exc.value.field == message.split(":")[0]
 
     def test_duplicate_edge(self):
         with pytest.raises(ParseError, match="duplicate"):
