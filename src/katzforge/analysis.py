@@ -66,15 +66,9 @@ def scc_condensation(
     values (or flagged non-uniform).  Members come back sorted and components
     ordered by smallest member, so the numbering is deterministic."""
     # disjoint sorted lists compare by their first (smallest) member
-    raw = sorted(sorted(comp) for comp in nx.strongly_connected_components(_support_digraph(w)))
-
-    comp_index = {v: k for k, comp in enumerate(raw) for v in comp}
-    edges = {
-        (comp_index[i], comp_index[j])
-        for i, j in w.positive_edges()
-        if comp_index[i] != comp_index[j]
-    }
-    has_out = {a for a, _ in edges}
+    support = _support_digraph(w)
+    raw = sorted(sorted(comp) for comp in nx.strongly_connected_components(support))
+    dag = nx.condensation(support, scc=raw)  # node k is component raw[k]
 
     components = []
     for k, comp in enumerate(raw):
@@ -91,14 +85,14 @@ def scc_condensation(
         components.append(
             SccComponent(
                 members=tuple(comp),
-                is_sink=k not in has_out,
+                is_sink=dag.out_degree(k) == 0,
                 alpha=alpha,
                 gamma=gamma,
                 centrality_uniform=c_uniform,
                 budget_uniform=b_uniform,
             )
         )
-    return CondensationGraph(components=tuple(components), edges=frozenset(edges))
+    return CondensationGraph(components=tuple(components), edges=frozenset(dag.edges))
 
 
 @dataclass(frozen=True)

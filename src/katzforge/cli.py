@@ -8,7 +8,6 @@ flag, then the KATZFORGE_TOL environment variable, then 1e-10.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -32,7 +31,6 @@ from .instance import (
     AllocationProfile,
     FeasibilityError,
     GameInstance,
-    ParseError,
     generate_random_instance,
     instance_digest,
     is_feasible,
@@ -50,21 +48,18 @@ EXIT_STEP_LIMIT = 2
 EXIT_INFEASIBLE = 3
 
 
-def _resolve_tol(flag: float | None) -> float:
-    if flag is not None:
-        tol = flag
-    elif os.environ.get(TOL_ENV_VAR):
-        try:
-            tol = float(os.environ[TOL_ENV_VAR])
-        except ValueError:
-            raise click.UsageError(f"{TOL_ENV_VAR} is not a number: {os.environ[TOL_ENV_VAR]!r}")
-    else:
-        tol = DEFAULT_TOL
+def _check_tol(ctx: click.Context, param: click.Parameter, tol: float) -> float:
     try:
         require_tol(tol)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise click.BadParameter(str(exc))
     return tol
+
+
+_tol_option = click.option(
+    "--tol", type=float, default=DEFAULT_TOL, envvar=TOL_ENV_VAR, callback=_check_tol,
+    help=f"Tolerance (default {DEFAULT_TOL}, env {TOL_ENV_VAR}).",
+)
 
 
 def _meta(g: GameInstance, seed: int | None, tol: float, **extra) -> dict:
@@ -82,6 +77,17 @@ def _meta(g: GameInstance, seed: int | None, tol: float, **extra) -> dict:
 
 def _read_instance(path: str) -> GameInstance:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
+
+
+def _read_feasible_profile(instance: str, allocation: str, tol: float, out: str | None) -> tuple[GameInstance, AllocationProfile]:
+    """Read an instance and an allocation for it; an infeasible allocation
+    gets the "infeasible" verdict and exit code 3."""
+    g = _read_instance(instance)
+    w = parse_allocation(Path(allocation).read_text(encoding="utf-8"), g.n)
+    if not is_feasible(g, w):
+        _emit_json({"meta": _meta(g, seed=None, tol=tol), "verdict": "infeasible"}, out)
+        sys.exit(EXIT_INFEASIBLE)
+    return g, w
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
@@ -164,11 +170,10 @@ def gen(n: int, density: float, self_loops: bool, budget_spec: str, seed: int, o
 
 @cli.command()
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=None, help=f"Tolerance (default {DEFAULT_TOL}, env {TOL_ENV_VAR}).")
+@_tol_option
 @click.option("-o", "--out", type=click.Path(dir_okay=False), default=None, help="Certificate file (stdout if omitted).")
-def equilibrium(instance: str, tol: float | None, out: str | None) -> None:
+def equilibrium(instance: str, tol: float, out: str | None) -> None:
     """Compute the unique equilibrium centralities c* with a certificate."""
-    tol = _resolve_tol(tol)
     g = _read_instance(instance)
     cert = equilibrium_centralities(g, tol=tol)
     doc = {"meta": _meta(g, seed=None, tol=tol), **cert.to_json_dict()}
@@ -182,7 +187,7 @@ def equilibrium(instance: str, tol: float | None, out: str | None) -> None:
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for the scheduler and random initial profiles.")
 @click.option("--w0", "w0_spec", default="zero", show_default=True, help="Initial profile: zero, random, or file:PATH.")
 @click.option("--max-steps", type=int, default=None, help="Step limit (default 500*n for standard mode).")
-@click.option("--tol", type=float, default=None, help="Convergence tolerance on the v-residual.")
+@_tol_option
 @click.option("--lazy/--no-lazy", default=True, show_default=True, help="Skip rewriting rows that already best-respond.")
 @click.option("--full-trace", is_flag=True, help="Also write per-step allocation rows to a sibling .alloc.json file.")
 @click.option("--seeds", "seeds_spec", default=None, help="Batch mode: run integer seeds LO:HI inclusive (LO <= HI), one trace per seed.")
@@ -195,7 +200,7 @@ def run(
     seed: int,
     w0_spec: str,
     max_steps: int | None,
-    tol: float | None,
+    tol: float,
     lazy: bool,
     full_trace: bool,
     seeds_spec: str | None,
@@ -203,7 +208,6 @@ def run(
     out: str,
 ) -> None:
     """Run best-response dynamics and record the trace."""
-    tol = _resolve_tol(tol)
     g = _read_instance(instance)
 
     def one_run(run_seed: int, out_path: Path) -> str:
@@ -259,16 +263,11 @@ def run(
 @cli.command()
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @click.argument("allocation", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=None)
+@_tol_option
 @click.option("-o", "--out", type=click.Path(dir_okay=False), default=None, help="Verdict file (stdout if omitted).")
-def verify(instance: str, allocation: str, tol: float | None, out: str | None) -> None:
+def verify(instance: str, allocation: str, tol: float, out: str | None) -> None:
     """Certify whether an allocation profile is a Nash equilibrium."""
-    tol = _resolve_tol(tol)
-    g = _read_instance(instance)
-    w = parse_allocation(Path(allocation).read_text(encoding="utf-8"), g.n)
-    if not is_feasible(g, w):
-        _emit_json({"meta": _meta(g, seed=None, tol=tol), "verdict": "infeasible"}, out)
-        sys.exit(EXIT_INFEASIBLE)
+    g, w = _read_feasible_profile(instance, allocation, tol, out)
     verdict = is_nash(g, w, tol=tol)
     doc = {"meta": _meta(g, seed=None, tol=tol), "verdict": verdict.is_nash, **verdict.to_json_dict()}
     _emit_json(doc, out)
@@ -280,23 +279,12 @@ def verify(instance: str, allocation: str, tol: float | None, out: str | None) -
 @cli.command()
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @click.argument("allocation", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=None)
+@_tol_option
 @click.option("-o", "--out", type=click.Path(dir_okay=False), default=None, help="Report file (stdout if omitted).")
 @click.option("--dot", "dot_out", type=click.Path(dir_okay=False), default=None, help="Write the condensation as DOT.")
-def analyze(
-    instance: str,
-    allocation: str,
-    tol: float | None,
-    out: str | None,
-    dot_out: str | None,
-) -> None:
+def analyze(instance: str, allocation: str, tol: float, out: str | None, dot_out: str | None) -> None:
     """Run the structure checks and export the condensation graph."""
-    tol = _resolve_tol(tol)
-    g = _read_instance(instance)
-    w = parse_allocation(Path(allocation).read_text(encoding="utf-8"), g.n)
-    if not is_feasible(g, w):
-        _emit_json({"meta": _meta(g, seed=None, tol=tol), "verdict": "infeasible"}, out)
-        sys.exit(EXIT_INFEASIBLE)
+    g, w = _read_feasible_profile(instance, allocation, tol, out)
     report, cond = run_structure_checks(g, w, tol=tol)
     doc = {
         "meta": _meta(g, seed=None, tol=tol),
@@ -330,7 +318,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
     except click.Abort:
         return EXIT_ERROR
-    except (OSError, ParseError, ValueError, ArithmeticError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_ERROR
     return EXIT_OK

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -46,38 +46,43 @@ class UnderlyingTopology:
     """Unweighted digraph constraining who may allocate to whom.
 
     ``adj`` holds ordered pairs (i, j), 0-based, self-pairs permitted; it is
-    the canonical value (equality, hashing, serialization).  Neighborhood
-    reads go through ``neighbor_index``, its one derived view.
+    the canonical value (equality, hashing, repr).  Neighborhood reads and
+    serialization go through ``neighbor_index``, built with it: agent i's
+    out-neighbors are ``cols[offsets[i]:offsets[i + 1]]``, ascending.
     """
 
     n: int
     adj: frozenset[tuple[int, int]]
+    neighbor_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"agent count must be positive, got {self.n}")
-        endpoint_types = set(map(type, itertools.chain.from_iterable(self.adj)))
+        n, adj = self.n, frozenset(self.adj)  # the same object when already a frozenset
+        if n < 1:
+            raise ValueError(f"agent count must be positive, got {n}")
+        if set(map(len, adj)) - {2}:
+            bad = next(e for e in adj if len(e) != 2)
+            raise ValueError(f"edge {bad!r} is not a pair")
+        endpoint_types = set(map(type, itertools.chain.from_iterable(adj)))
         if not all(_is_index_type(t) for t in endpoint_types):
-            bad = next(e for e in self.adj if not all(_is_index_type(type(v)) for v in e))
+            bad = next(e for e in adj if not all(_is_index_type(type(v)) for v in e))
             raise ValueError(f"edge {bad!r} has a non-integer endpoint")
-        object.__setattr__(self, "adj", frozenset((int(i), int(j)) for i, j in self.adj))
-        for i, j in self.adj:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-
-    @cached_property
-    def neighbor_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Out-neighbors in CSR form: agent i's are ``cols[offsets[i]:offsets[i + 1]]``,
-        ascending; ``offsets`` has n + 1 entries."""
-        flat = np.fromiter(
-            itertools.chain.from_iterable(self.adj), dtype=np.intp, count=2 * len(self.adj)
-        )
-        keys = np.sort(flat[0::2] * self.n + flat[1::2])  # row-major order
-        cols = keys % self.n
-        offsets = np.searchsorted(keys, np.arange(self.n + 1) * self.n)
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.intp, count=2 * len(adj))
+            in_range = not flat.size or (0 <= flat.min() and flat.max() < n)
+        except OverflowError:  # beyond intp
+            in_range = False
+        if not in_range:
+            i, j = next(e for e in adj if not (0 <= e[0] < n and 0 <= e[1] < n))
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        if endpoint_types - {int}:  # e.g. numpy integers: store Python ints
+            adj = frozenset(zip(flat[0::2].tolist(), flat[1::2].tolist()))
+        keys = np.sort(flat[0::2] * n + flat[1::2])  # row-major order
+        cols = keys % n
+        offsets = np.searchsorted(keys, np.arange(n + 1) * n)
         for arr in (cols, offsets):
             arr.setflags(write=False)
-        return cols, offsets
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "neighbor_index", (cols, offsets))
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         """Agent i's underlying out-neighbors, ascending."""
@@ -298,11 +303,8 @@ def parse_instance(text: str) -> GameInstance:
         raise ParseError("must be a list of [i, j] pairs", field="edges")
     adj: set[tuple[int, int]] = set()
     for k, e in enumerate(edges):
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
-        ):
+        # JSON yields exact types: this rejects bools and floats
+        if not isinstance(e, list) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
             raise ParseError("must be a pair of integers", field=f"edges[{k}]")
         i, j = e
         if not (1 <= i <= n and 1 <= j <= n):
@@ -333,7 +335,10 @@ def parse_instance(text: str) -> GameInstance:
 
 def serialize_instance(g: GameInstance) -> str:
     """Canonical serialization: sorted edges, fixed key order, 1-based agents."""
-    edges = ", ".join(f"[{i + 1}, {j + 1}]" for i, j in sorted(g.topology.adj))
+    cols, offsets = g.topology.neighbor_index  # row-major, so already sorted
+    rows = np.repeat(np.arange(1, g.n + 1), np.diff(offsets))
+    pairs = np.column_stack((rows, cols + 1)).ravel().tolist()
+    edges = ", ".join(["[{}, {}]"] * len(cols)).format(*pairs)
     lines = [
         "{",
         f'  "n": {g.n},',
@@ -357,7 +362,8 @@ def parse_allocation(text: str, n: int) -> AllocationProfile:
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseError(f"must be a list of n={n} rows", field="weights")
     for k, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
+        # JSON numbers only: no bools, strings or nulls
+        if not isinstance(row, list) or len(row) != n or not set(map(type, row)) <= {int, float}:
             raise ParseError(f"must be a list of n={n} numbers", field=f"weights[{k}]")
     try:
         return AllocationProfile(np.array(rows, dtype=float))

@@ -227,6 +227,15 @@ class TestVerify:
         assert main(["verify", str(i3_file), str(zero), "--tol", "1e-10"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] is False
 
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_boolean_weight_is_parse_error(self, i3_file, tmp_path, capsys, command):
+        alloc = tmp_path / "w.json"
+        alloc.write_text('{"weights": [[0, 0.5], [true, 0]]}')
+        assert main([command, str(i3_file), str(alloc)]) == 1
+        captured = capsys.readouterr()
+        assert "error: weights[1]: must be a list of n=2 numbers" in captured.err
+        assert captured.out == ""
+
 
 class TestAnalyze:
     def test_complete_topology_report_and_dot(self, i3_file, i3_ne_file, tmp_path):
@@ -321,6 +330,14 @@ class TestTolerance:
         assert main(["run", str(i3_file), "--mode", "modified", "-o", str(tmp_path / "t.csv")]) == 1
         assert "tol must be finite and positive, got nan" in capsys.readouterr().err
         assert not list(tmp_path.glob("t*.csv"))
+
+    def test_env_var_empty_is_unset_and_non_number_is_usage_error(self, i3_file, capsys, monkeypatch):
+        monkeypatch.setenv("KATZFORGE_TOL", "")
+        assert main(["equilibrium", str(i3_file)]) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["tol"] == 1e-10
+        monkeypatch.setenv("KATZFORGE_TOL", "abc")
+        assert main(["equilibrium", str(i3_file)]) == 1
+        assert "'abc'" in capsys.readouterr().err
 
 
 class TestUsage:

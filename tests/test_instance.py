@@ -98,6 +98,15 @@ class TestTopology:
             topology_from_edges(2, [(0, 1), edge])
         assert str(exc.value) == f"edge {shown} out of range for n=2"
 
+    @pytest.mark.parametrize("edges, bad", [([(0, 1, 2)], (0, 1, 2)), ([(1, 1), (0,)], (0,)),
+                                            ([(0, 1, 1), (0,)], None)])
+    def test_non_pair_edge_rejected_by_name(self, edges, bad):
+        # a 3-tuple and a 1-tuple hold four endpoints between them: still not two pairs
+        with pytest.raises(ValueError, match="is not a pair") as exc:
+            topology_from_edges(2, edges)
+        if bad is not None:
+            assert str(exc.value) == f"edge {bad!r} is not a pair"
+
     def test_neighbor_index_runs_ascend_and_match_out_degrees(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -271,6 +280,16 @@ class TestDocuments:
     def test_allocation_wrong_shape(self):
         with pytest.raises(ParseError, match="weights"):
             parse_allocation('{"weights": [[0.0]]}', 2)
+
+    @pytest.mark.parametrize("value", ["true", "false", '"0.25"', "null", "[0.25]", "{}"])
+    def test_allocation_weights_must_be_json_numbers(self, value):
+        with pytest.raises(ParseError) as exc:
+            parse_allocation(f'{{"weights": [[0, 0.5], [{value}, 0]]}}', 2)
+        assert str(exc.value) == "weights[1]: must be a list of n=2 numbers"
+
+    def test_allocation_integer_weights_accepted(self):
+        w = parse_allocation('{"weights": [[0, 1], [0.5, 0]]}', 2)
+        np.testing.assert_array_equal(w.weights, [[0.0, 1.0], [0.5, 0.0]])
 
     def test_allocation_unknown_field(self):
         with pytest.raises(ParseError, match="unknown"):
