@@ -8,11 +8,11 @@ v(c(w)) - c(w) of the current profile, never on profile stability: profiles
 may keep moving between tied best responses while the centralities are
 already at the fixed point.
 
-A best-response step makes one dense solve: ``katz_solve`` for the recorded
-centralities and gaps.  The mover's target is read off a ``Resolvent`` that
-is built at the first best-response step and updated by one rank-one change
-per move; only the target comes from it, and every recorded number still
-comes from ``katz_solve``.
+A move is written in place into one weight matrix, and a best-response step
+makes one dense solve: ``katz_solve`` for the recorded centralities and gaps.
+The mover's target is read off a ``Resolvent`` that is built at the first
+best-response step and updated by one rank-one change per move; only the
+target comes from it.  The terminal ``AllocationProfile`` is built once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .centrality import Resolvent
-from .game import DEFAULT_TOL, best_response, improvement_gaps, require_tol
+from .game import DEFAULT_TOL, _best_response, improvement_gaps, require_tol
 from .instance import AllocationProfile, GameInstance, _philox, require_feasible, require_valid
 
 # Default step limit for standard BRD, per agent (convergence is asymptotic).
@@ -159,11 +159,10 @@ class BrdTrace:
 
 
 def _record(step: int, agent: int | None, row: np.ndarray | None, c: np.ndarray, residual: float) -> BrdStep:
-    c = np.array(c)
-    c.setflags(write=False)
-    if row is not None:
-        row = np.array(row)
-        row.setflags(write=False)
+    """Keeps ``c`` and ``row``, which nothing else may hold, and marks them read-only."""
+    for arr in (c, row):
+        if arr is not None:
+            arr.setflags(write=False)
     return BrdStep(step=step, agent=agent, row=row, centralities=c, residual=residual)
 
 
@@ -186,8 +185,8 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
     if limit is None and not modified:
         limit = STEP_LIMIT_FACTOR * g.n
 
-    w = w0
-    c, gaps = improvement_gaps(g, w)
+    a = np.array(w0.weights)  # row i takes agent i's moves in place
+    c, gaps = improvement_gaps(g, a)
     residual = float(np.max(np.abs(gaps)))
     steps = [_record(0, None, None, c, residual)]
     state = cfg.scheduler.start(g.n)
@@ -207,14 +206,14 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
             break
         k += 1
         if cfg.lazy and gaps[i] <= cfg.tol:  # never true for a modified-mode improver
-            row = w.row(i)
+            row = a[i].copy()
         else:
             if resolvent is None:
-                resolvent = Resolvent(w)
-            row = best_response(g, i, w, wd=resolvent.decomposition(g, i)).canonical
-            w = w.with_row(i, row)
+                resolvent = Resolvent(a)  # a copy: its updates are taken against it
+            row = _best_response(resolvent.decomposition(g, i)).canonical
+            a[i] = row
             c_prev = c
-            c, gaps = improvement_gaps(g, w)
+            c, gaps = improvement_gaps(g, a)
             resolvent.replace_row(i, row, c)
             residual = float(np.max(np.abs(gaps)))
             if modified and not c[i] > c_prev[i]:
@@ -222,7 +221,7 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
                     f"step {k}: centrality of agent {i + 1} did not strictly increase"
                 )
         steps.append(_record(k, i, row, c, residual))
-    return BrdTrace(tuple(steps), w, status, k, cfg)
+    return BrdTrace(tuple(steps), AllocationProfile(a), status, k, cfg)
 
 
 # --- trace artifacts --------------------------------------------------------

@@ -153,33 +153,28 @@ class BestResponseResult:
         self.canonical.setflags(write=False)
 
 
-def best_response(
-    g: GameInstance,
-    i: int,
-    w: AllocationProfile,
-    *,
-    wd: WalkDecomposition | None = None,
-) -> BestResponseResult:
+def best_response(g: GameInstance, i: int, w: AllocationProfile) -> BestResponseResult:
     """Exact best response of agent i against the opponents' rows in ``w``.
 
     Maximizes the score f[j] = d[j] / (1 - q[j] B_i) over underlying
     out-neighbors; putting the whole budget on any maximizer is optimal, and
     the achieved centrality is B_i * f[j].  Agent i's own row is ignored.
-    ``wd`` is agent i's walk decomposition of ``w`` when the caller already
-    has it (from a ``Resolvent``); by default it is solved densely.
     """
-    if wd is None:
-        wd = walk_decomposition(g, w, i)
+    return _best_response(walk_decomposition(g, w, i))
+
+
+def _best_response(wd: WalkDecomposition) -> BestResponseResult:
+    """The focal agent's best response, read off its walk decomposition."""
     scores = [(j, float(wd.f[j])) for j in wd.neighbors]
     top = max(v for _, v in scores)
     # neighbors ascend, so the tied set does too
     argmax_set = tuple(j for j, v in scores if v >= top * (1.0 - TIE_REL_TOL))
     j_star = argmax_set[0]
-    canonical = np.zeros(g.n)
-    canonical[j_star] = g.budgets[i]
-    achieved = fractional_linear_centrality(i, canonical, wd)
+    canonical = np.zeros(wd.q.shape)
+    canonical[j_star] = wd.budget
+    achieved = fractional_linear_centrality(wd.agent, canonical, wd)
     return BestResponseResult(
-        agent=i, argmax_set=argmax_set, canonical=canonical, achieved_value=achieved
+        agent=wd.agent, argmax_set=argmax_set, canonical=canonical, achieved_value=achieved
     )
 
 

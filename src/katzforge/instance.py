@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -262,9 +263,9 @@ def rescale(g: GameInstance, r: RescaleParameters) -> GameInstance:
 _INSTANCE_FIELDS = {"n", "edges", "budgets", "name"}
 
 
-def _load_json(text: str, what: str) -> dict:
+def _load_json(text: str, what: str, parse_int=int) -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON (line {exc.lineno}): {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -274,14 +275,14 @@ def _load_json(text: str, what: str) -> dict:
 
 def _parse_budget(value, idx: int) -> float:
     # Exact decimal strings are accepted so equal budgets stay exactly equal.
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError("not a decimal number", field=f"budgets[{idx}]") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ParseError("must be a number or decimal string", field=f"budgets[{idx}]")
-    return float(value)
+    try:
+        return float(value)
+    except ValueError:
+        raise ParseError("not a decimal number", field=f"budgets[{idx}]") from None
+    except OverflowError:  # an integer beyond float range is infinite, as its float literal is
+        return math.inf if value > 0 else -math.inf
 
 
 def parse_instance(text: str) -> GameInstance:
@@ -352,7 +353,7 @@ def serialize_instance(g: GameInstance) -> str:
 
 
 def parse_allocation(text: str, n: int) -> AllocationProfile:
-    doc = _load_json(text, "allocation")
+    doc = _load_json(text, "allocation", parse_int=float)  # so 10**400 reads as inf, like 1e400
     unknown = set(doc) - {"weights"}
     if unknown:
         raise ParseError(f"unknown fields: {sorted(unknown)}")
@@ -363,7 +364,7 @@ def parse_allocation(text: str, n: int) -> AllocationProfile:
         raise ParseError(f"must be a list of n={n} rows", field="weights")
     for k, row in enumerate(rows):
         # JSON numbers only: no bools, strings or nulls
-        if not isinstance(row, list) or len(row) != n or not set(map(type, row)) <= {int, float}:
+        if not isinstance(row, list) or len(row) != n or not set(map(type, row)) <= {float}:
             raise ParseError(f"must be a list of n={n} numbers", field=f"weights[{k}]")
     try:
         return AllocationProfile(np.array(rows, dtype=float))

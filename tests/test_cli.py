@@ -237,6 +237,35 @@ class TestVerify:
         assert captured.out == ""
 
 
+class TestHugeIntegers:
+    """A JSON integer beyond float range gets the error of the equal float literal."""
+
+    HUGE = "1" + "0" * 400
+
+    def test_budget(self, tmp_path, capsys):
+        errors = []
+        for value in (self.HUGE, "1e400"):
+            inst = tmp_path / "g.json"
+            inst.write_text(f'{{"n": 2, "edges": [[1, 2], [2, 1]], "budgets": [0.5, {value}]}}')
+            assert main(["equilibrium", str(inst)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == "error: budgets[1]: must be positive and finite\n"
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_weight(self, i3_file, tmp_path, capsys, command):
+        errors = []
+        for value in (self.HUGE, "1e400"):
+            alloc = tmp_path / "w.json"
+            alloc.write_text(f'{{"weights": [[0, 0.5], [{value}, 0]]}}')
+            assert main([command, str(i3_file), str(alloc)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == "error: weights: weights must be finite\n"
+
+
 class TestAnalyze:
     def test_complete_topology_report_and_dot(self, i3_file, i3_ne_file, tmp_path):
         out = tmp_path / "report.json"
@@ -352,3 +381,55 @@ class TestUsage:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["equilibrium", str(bad)]) == 1
+
+
+# Runs in a fresh interpreter from the working directory, so every artifact,
+# and the output naming it, is the same whatever the directory.
+PIPELINE = """
+import json, sys
+from pathlib import Path
+from katzforge import AllocationProfile, serialize_allocation
+from katzforge.cli import main
+
+codes = [
+    main(["gen", "--n", "12", "--density", "0.4", "--self-loops", "--seed", "5", "-o", "g.json"]),
+    main(["equilibrium", "g.json", "-o", "cert.json"]),
+    main(["run", "g.json", "--mode", "modified", "--w0", "random", "--full-trace", "-o", "t.csv"]),
+]
+terminal = json.loads(Path("t.alloc.json").read_text())["terminal_weights"]
+Path("ne.json").write_text(serialize_allocation(AllocationProfile(terminal)))
+codes += [
+    main(["verify", "g.json", "ne.json", "-o", "verdict.json"]),
+    main(["analyze", "g.json", "ne.json", "-o", "report.json", "--dot", "cond.dot"]),
+]
+# validation must not depend on assert statements
+Path("negative.json").write_text('{"weights": ' + json.dumps([[-0.1] * 12] * 12) + "}")
+Path("over.json").write_text(serialize_allocation(AllocationProfile([[0.99] * 12] * 12)))
+codes += [main(["verify", "g.json", "negative.json"]), main(["verify", "g.json", "over.json"])]
+print("optimize", sys.flags.optimize, "codes", codes)
+"""
+
+
+def test_pipeline_under_python_optimize(tmp_path):
+    src = str(Path(katzforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = {}
+    for flags in ((), ("-O",)):
+        cwd = tmp_path / ("optimized" if flags else "plain")
+        cwd.mkdir()
+        done = subprocess.run(
+            [sys.executable, *flags, "-c", PIPELINE],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        *output, summary = done.stdout.splitlines()
+        assert summary == f"optimize {len(flags)} codes [0, 0, 0, 0, 0, 1, 3]"
+        files = {p.name: p.read_bytes() for p in sorted(cwd.iterdir())}
+        runs[flags] = (output, done.stderr, files)
+    plain, optimized = runs[()], runs[("-O",)]
+    assert set(plain[2]) == {
+        "g.json", "cert.json", "t.csv", "t.alloc.json", "ne.json", "verdict.json",
+        "report.json", "cond.dot", "negative.json", "over.json",
+    }
+    assert "error: weights: weights must be nonnegative" in plain[1]
+    assert plain == optimized

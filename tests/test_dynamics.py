@@ -313,6 +313,50 @@ class TestSolveCount:
         assert solves == [2]
 
 
+class TestWeightMatrix:
+    """Moves go into one weight matrix; records and the terminal profile
+    never share memory with it or with each other."""
+
+    @staticmethod
+    def _runs():
+        for seed in range(6):
+            g = random_game(seed, n_max=15, budget_hi=0.99)
+            w0 = random_feasible_profile(g, seed + 21)
+            for mode in ("standard", "modified"):
+                for lazy in (True, False):
+                    yield g, w0, BrdConfig(mode=mode, lazy=lazy)
+
+    def test_one_profile_per_run(self, monkeypatch):
+        built = []
+        post_init = AllocationProfile.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(AllocationProfile, "__post_init__", counting)
+        steps = 0
+        for g, w0, cfg in self._runs():
+            built.clear()
+            trace = run_brd(g, w0, cfg)
+            assert built == [trace.terminal]
+            steps += trace.total_steps
+        assert steps > 0
+
+    def test_records_are_read_only_and_unshared(self):
+        for g, w0, cfg in self._runs():
+            before = w0.weights.copy()
+            trace = run_brd(g, w0, cfg)
+            np.testing.assert_array_equal(w0.weights, before)
+            rows = [s.row for s in trace.steps[1:]]
+            for s in trace.steps:
+                assert not s.centralities.flags.writeable
+            for k, row in enumerate(rows):
+                assert not row.flags.writeable
+                assert not np.shares_memory(row, trace.terminal.weights)
+                assert not any(np.shares_memory(row, other) for other in rows[k + 1:])
+
+
 class TestSelectAgents:
     """Modified BRD schedules only agents with a strictly better response: the
     first movers over many schedules are exactly the agents with gap > tol."""

@@ -291,6 +291,37 @@ class TestDocuments:
         w = parse_allocation('{"weights": [[0, 1], [0.5, 0]]}', 2)
         np.testing.assert_array_equal(w.weights, [[0.0, 1.0], [0.5, 0.0]])
 
+    # a JSON integer beyond float range reads as the float literal of its value
+    HUGE = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "integer, literal", [(HUGE, "1e400"), ("-" + HUGE, "-1e400")], ids=["positive", "negative"]
+    )
+    def test_huge_integer_budget_reads_as_float_literal(self, integer, literal):
+        messages = []
+        for value in (integer, literal):
+            with pytest.raises(ParseError) as exc:
+                parse_instance(f'{{"n": 2, "edges": [[1, 2], [2, 1]], "budgets": [0.5, {value}]}}')
+            messages.append((str(exc.value), exc.value.field))
+        assert messages[0] == messages[1] == ("budgets[1]: must be positive and finite", "budgets[1]")
+
+    @pytest.mark.parametrize(
+        "integer, literal",
+        [(HUGE, "1e400"), ("-" + HUGE, "-1e400"), ("1" + "0" * 5000, "1e5000")],
+        ids=["positive", "negative", "beyond-int-digit-limit"],
+    )
+    def test_huge_integer_weight_reads_as_float_literal(self, integer, literal):
+        messages = []
+        for value in (integer, literal):
+            with pytest.raises(ParseError) as exc:
+                parse_allocation(f'{{"weights": [[0, 0.5], [{value}, 0]]}}', 2)
+            messages.append((str(exc.value), exc.value.field))
+        assert messages[0] == messages[1] == ("weights: weights must be finite", "weights")
+
+    def test_allocation_large_integer_within_float_range(self):
+        w = parse_allocation(f'{{"weights": [[0, {10**300}], [0, 0]]}}', 2)
+        assert w.weights[0, 1] == float(10**300)
+
     def test_allocation_unknown_field(self):
         with pytest.raises(ParseError, match="unknown"):
             parse_allocation('{"weights": [[0.0]], "junk": 1}', 1)
