@@ -13,8 +13,8 @@ induce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-import networkx as nx
 import numpy as np
 
 from .centrality import katz_solve
@@ -26,11 +26,120 @@ FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
 
-def _support_digraph(w: AllocationProfile) -> nx.DiGraph:
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(range(w.n))
-    digraph.add_edges_from(w.positive_edges())
-    return digraph
+class _Support:
+    """Positive-weight digraph of ``w`` as CSR arrays, its adjacency lists and
+    its strongly connected components, each built on first use.  Edges come
+    row-major, so every agent's successors and predecessors ascend."""
+
+    def __init__(self, w: AllocationProfile):
+        self.weights = w.weights
+        self.rows, self.cols = np.nonzero(w.weights > 0)
+
+    def _lists(self, keys: np.ndarray, values: np.ndarray) -> list[list[int]]:
+        # keys ascend, values ascend within each key
+        offsets = np.searchsorted(keys, np.arange(len(self.weights) + 1)).tolist()
+        flat = values.tolist()
+        return [flat[a:b] for a, b in zip(offsets, offsets[1:])]
+
+    @cached_property
+    def succ(self) -> list[list[int]]:
+        return self._lists(self.rows, self.cols)
+
+    @cached_property
+    def pred(self) -> list[list[int]]:
+        order = np.argsort(self.cols, kind="stable")
+        return self._lists(self.cols[order], self.rows[order])
+
+    @cached_property
+    def sccs(self) -> list[tuple[int, ...]]:
+        """Strongly connected components by Tarjan's algorithm, iteratively,
+        in O(n + m): members sorted, components ordered by smallest member."""
+        succ = self.succ
+        n = len(succ)
+        index = [-1] * n  # discovery order, -1 while unvisited
+        low = [0] * n
+        on_stack = [False] * n
+        stack: list[int] = []
+        found = []
+        counter = 0
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack[root] = True
+            path = [(root, iter(succ[root]))]
+            while path:
+                v, targets = path[-1]
+                for u in targets:
+                    if index[u] < 0:  # descend; v's remaining targets wait
+                        index[u] = low[u] = counter
+                        counter += 1
+                        stack.append(u)
+                        on_stack[u] = True
+                        path.append((u, iter(succ[u])))
+                        break
+                    if on_stack[u] and index[u] < low[v]:
+                        low[v] = index[u]
+                else:  # v is finished
+                    path.pop()
+                    if path and low[v] < low[path[-1][0]]:
+                        low[path[-1][0]] = low[v]
+                    if low[v] == index[v]:  # v roots a component: pop it
+                        members = []
+                        while not members or members[-1] != v:
+                            members.append(stack.pop())
+                            on_stack[members[-1]] = False
+                        found.append(tuple(sorted(members)))
+        return sorted(found)  # disjoint sorted tuples compare by smallest member
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """labels[v] is the position of v's component in ``sccs``."""
+        labels = np.empty(len(self.weights), dtype=np.intp)
+        for k, members in enumerate(self.sccs):
+            labels[list(members)] = k
+        return labels
+
+    def shortest_path(self, source: int, target: int, avoid: int) -> list[int]:
+        """A shortest source ~> target path (source != target) that never
+        enters ``avoid``, by bidirectional breadth-first search: the fringe
+        that is no larger grows by one level (the forward one on a tie),
+        neighbors are read in ascending order, and the search stops at the
+        first agent both sides have seen.  Every choice is fixed, so the
+        path is too: the tests pin it to a reference search."""
+
+        def grow(fringe, adjacent, seen, other):
+            # one level; seen maps each agent to its neighbor one level back
+            grown = []
+            for a in fringe:
+                for b in adjacent[a]:
+                    if b == avoid:
+                        continue
+                    if b not in seen:
+                        seen[b] = a
+                        grown.append(b)
+                    if b in other:
+                        return grown, b
+            return grown, None
+
+        pred_of, succ_of = {source: None}, {target: None}
+        forward, reverse = [source], [target]
+        while forward and reverse:
+            if len(forward) <= len(reverse):
+                forward, meet = grow(forward, self.succ, pred_of, succ_of)
+            else:
+                reverse, meet = grow(reverse, self.pred, succ_of, pred_of)
+            if meet is not None:
+                path = [meet]
+                while pred_of[path[-1]] is not None:
+                    path.append(pred_of[path[-1]])
+                path.reverse()
+                while succ_of[path[-1]] is not None:
+                    path.append(succ_of[path[-1]])
+                return path
+        raise ValueError(f"no path from {source} to {target} avoiding {avoid}")
 
 
 @dataclass(frozen=True)
@@ -65,13 +174,23 @@ def scc_condensation(
     centralities are supplied, components are annotated with their common
     values (or flagged non-uniform).  Members come back sorted and components
     ordered by smallest member, so the numbering is deterministic."""
-    # disjoint sorted lists compare by their first (smallest) member
-    support = _support_digraph(w)
-    raw = sorted(sorted(comp) for comp in nx.strongly_connected_components(support))
-    dag = nx.condensation(support, scc=raw)  # node k is component raw[k]
+    return _condense(_Support(w), budgets, centralities, centrality_tol)
+
+
+def _condense(
+    support: _Support,
+    budgets: tuple[float, ...] | None,
+    centralities: np.ndarray | None,
+    centrality_tol: float,
+) -> CondensationGraph:
+    # component edges and sinks in one pass over the support's edges
+    tail, head = support.labels[support.rows], support.labels[support.cols]
+    cross = tail != head
+    has_out = np.zeros(len(support.sccs), dtype=bool)
+    has_out[tail[cross]] = True
 
     components = []
-    for k, comp in enumerate(raw):
+    for k, comp in enumerate(support.sccs):
         alpha = gamma = None
         c_uniform = b_uniform = None
         if centralities is not None:
@@ -84,15 +203,16 @@ def scc_condensation(
             gamma = vals[0] if b_uniform else None
         components.append(
             SccComponent(
-                members=tuple(comp),
-                is_sink=dag.out_degree(k) == 0,
+                members=comp,
+                is_sink=not has_out[k],
                 alpha=alpha,
                 gamma=gamma,
                 centrality_uniform=c_uniform,
                 budget_uniform=b_uniform,
             )
         )
-    return CondensationGraph(components=tuple(components), edges=frozenset(dag.edges))
+    edges = frozenset(zip(tail[cross].tolist(), head[cross].tolist()))
+    return CondensationGraph(components=tuple(components), edges=edges)
 
 
 @dataclass(frozen=True)
@@ -191,11 +311,21 @@ def check_scc_uniformity(
 ) -> CheckResult:
     """Members of one SCC of a Nash network share budget and centrality; an
     SCC of size >= 2 also forces its common centrality onto any SCC it points at."""
+    return _scc_uniformity(g, w, tol, centralities, _Support(w))
+
+
+def _scc_uniformity(
+    g: GameInstance,
+    w: AllocationProfile,
+    tol: float,
+    centralities: np.ndarray | None,
+    support: _Support,
+) -> CheckResult:
     name = "scc-uniformity"
     if not g.topology.has_all_self_loops():
         return CheckResult(name, INAPPLICABLE, details={"reason": "not all agents have self-loops"})
     c = _centralities(w, centralities)
-    cond = scc_condensation(w, budgets=g.budgets, centralities=c, centrality_tol=tol)
+    cond = _condense(support, g.budgets, c, tol)
     witnesses = []
     for k, comp in enumerate(cond.components):
         if comp.centrality_uniform is False:
@@ -254,41 +384,55 @@ def _closing_two_paths(a: np.ndarray) -> np.ndarray:
     return np.column_stack([u, mid[u, w], w])
 
 
-def _parity_two_paths(support: nx.DiGraph, weights: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Parity classes of the ``support`` digraph of ``weights`` with their
-    closing 2-paths.
+def _parity_two_paths(support: _Support) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Parity classes of the ``support`` digraph with their closing 2-paths.
 
     Every simple cycle x_1 -> ... -> x_L -> x_1 of length L >= 3 ties x_k to
     x_{k+2}, and those ties are exactly its 2-paths; conversely a 2-path
     u -> v -> w (u != w) lies on a simple cycle iff w reaches u without v.
-    Classes are the connected components of these ties, so an odd cycle puts
-    all its agents in one class and an even cycle its two alternating halves;
-    a class may join several cycles.  The work is done per strongly connected
-    component of m agents: each agent v runs one breadth-first pass from all
-    its successors at once, one dense (outdeg v) x m x m product per level,
-    and skips it when it has a single predecessor or successor, so a plain
-    cycle costs O(m).  Returns the classes of two or more agents, members
-    sorted and classes ordered by smallest member, each with its 2-paths as
-    rows (u, v, w) of 0-based agents."""
-    ties = nx.Graph()
+    Classes are the connected components of these ties, found by union-find,
+    so an odd cycle puts all its agents in one class and an even cycle its
+    two alternating halves; a class may join several cycles.  The work is
+    done per strongly connected component of m agents: each agent v runs one
+    breadth-first pass from all its successors at once, one dense
+    (outdeg v) x m x m product per level, and skips it when it has a single
+    predecessor or successor, so a plain cycle costs O(m).  Returns the
+    classes of two or more agents, members sorted and classes ordered by
+    smallest member, each with its 2-paths as rows (u, v, w) of 0-based
+    agents."""
+    n = len(support.weights)
+    parent = list(range(n))  # union-find forest; each root is its class's smallest member
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
     rows = [np.empty((0, 3), dtype=int)]
-    for comp in nx.strongly_connected_components(support):
+    for comp in support.sccs:
         if len(comp) < 3:  # two agents close only u -> v -> u, no pair u != w
             continue
-        idx = np.array(sorted(comp))
-        a = weights[np.ix_(idx, idx)] > 0
+        idx = np.array(comp)
+        a = support.weights[np.ix_(idx, idx)] > 0
         np.fill_diagonal(a, False)
         rows.append(idx[_closing_two_paths(a)])
-        ties.add_edges_from(rows[-1][:, [0, 2]].tolist())
+        for u, x in rows[-1][:, [0, 2]].tolist():
+            ru, rx = find(u), find(x)
+            if ru != rx:
+                parent[max(ru, rx)] = min(ru, rx)
     rows = np.concatenate(rows)
-    classes = sorted(tuple(sorted(comp)) for comp in nx.connected_components(ties))
-    return [(members, rows[np.isin(rows[:, 0], members)]) for members in classes]
+    roots = [find(v) for v in range(n)]
+    classes: dict[int, list[int]] = {}
+    for v, root in enumerate(roots):  # ascending: members sorted, classes by smallest member
+        classes.setdefault(root, []).append(v)
+    row_roots = np.array(roots, dtype=int)[rows[:, 0]]
+    return [(tuple(members), rows[row_roots == root]) for root, members in classes.items() if len(members) > 1]
 
 
 def parity_classes(w: AllocationProfile) -> tuple[tuple[int, ...], ...]:
     """Parity classes (0-based, two or more agents each) of the support of
     ``w``: the partition the cycle-parity check tests for uniformity."""
-    return tuple(members for members, _ in _parity_two_paths(_support_digraph(w), w.weights))
+    return tuple(members for members, _ in _parity_two_paths(_Support(w)))
 
 
 def check_cycle_parity(
@@ -304,12 +448,21 @@ def check_cycle_parity(
     spread within ``BUDGET_EQ_TOL`` and a centrality spread within ``tol``.
     A failing class gives one witness with its rule, its members and a simple
     cycle that starts with the class's worst 2-path."""
+    return _cycle_parity(g, w, tol, centralities, _Support(w))
+
+
+def _cycle_parity(
+    g: GameInstance,
+    w: AllocationProfile,
+    tol: float,
+    centralities: np.ndarray | None,
+    support: _Support,
+) -> CheckResult:
     name = "cycle-parity"
     if not g.topology.is_symmetric():
         return CheckResult(name, INAPPLICABLE, details={"reason": "underlying topology not symmetric"})
     c = _centralities(w, centralities)
-    support = _support_digraph(w)
-    classes = _parity_two_paths(support, w.weights)
+    classes = _parity_two_paths(support)
     witnesses = []
     for members, rows in classes:
         for rule, values, bound in (
@@ -320,7 +473,7 @@ def check_cycle_parity(
             if vals.max() - vals.min() > bound:
                 u, v, x = rows[np.argmax(np.abs(values[rows[:, 0]] - values[rows[:, 2]]))].tolist()
                 # the worst 2-path, closed by a shortest x ~> u path avoiding v
-                back = nx.shortest_path(nx.restricted_view(support, [v], []), x, u)
+                back = support.shortest_path(x, u, avoid=v)
                 witnesses.append(
                     {
                         "rule": rule,
@@ -342,16 +495,17 @@ def run_structure_checks(
     w: AllocationProfile,
     tol: float = DEFAULT_TOL,
 ) -> tuple[StructureReport, CondensationGraph]:
-    """All applicable checks on one profile, sharing a single centrality solve."""
+    """All applicable checks on one profile, sharing a single centrality solve
+    and one support digraph with its strongly connected components."""
     c = katz_solve(w)
+    support = _Support(w)
     checks = (
         check_complete_topology(g, w, tol, centralities=c),
         check_hierarchy(g, w, tol, centralities=c),
-        check_scc_uniformity(g, w, tol, centralities=c),
-        check_cycle_parity(g, w, tol, centralities=c),
+        _scc_uniformity(g, w, tol, c, support),
+        _cycle_parity(g, w, tol, c, support),
     )
-    cond = scc_condensation(w, budgets=g.budgets, centralities=c, centrality_tol=tol)
-    return StructureReport(checks), cond
+    return StructureReport(checks), _condense(support, g.budgets, c, tol)
 
 
 def export_condensation_dot(cond: CondensationGraph) -> str:

@@ -182,9 +182,9 @@ class Resolvent:
         self._build()
 
 
-def fractional_linear_centrality(i: int, row: np.ndarray, wd: WalkDecomposition) -> float:
-    """Centrality of agent i as a fractional-linear function of its own row:
-    (sum_j d[j] w_ij) / (1 - sum_j q[j] w_ij).
+def fractional_linear_centrality(row: np.ndarray, wd: WalkDecomposition) -> float:
+    """Centrality of the focal agent i of ``wd`` as a fractional-linear
+    function of its own row: (sum_j d[j] w_ij) / (1 - sum_j q[j] w_ij).
 
     Agrees with ``katz_solve`` entrywise to ``CROSS_CHECK_TOL`` on feasible
     profiles.

@@ -172,7 +172,7 @@ def _best_response(wd: WalkDecomposition) -> BestResponseResult:
     j_star = argmax_set[0]
     canonical = np.zeros(wd.q.shape)
     canonical[j_star] = wd.budget
-    achieved = fractional_linear_centrality(wd.agent, canonical, wd)
+    achieved = fractional_linear_centrality(canonical, wd)
     return BestResponseResult(
         agent=wd.agent, argmax_set=argmax_set, canonical=canonical, achieved_value=achieved
     )

@@ -263,11 +263,22 @@ def rescale(g: GameInstance, r: RescaleParameters) -> GameInstance:
 _INSTANCE_FIELDS = {"n", "edges", "budgets", "name"}
 
 
+def _int_or_float(digits: str) -> int | float:
+    try:
+        return int(digits)
+    except ValueError:  # beyond the int-string digit limit
+        return float(digits)
+
+
 def _load_json(text: str, what: str, parse_int=int) -> dict:
     try:
         doc = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON (line {exc.lineno}): {exc.msg}") from exc
+    except ValueError:
+        # an integer beyond the int-string digit limit: read it as the float
+        # literal of its value, like an integer beyond float range
+        doc = json.loads(text, parse_int=_int_or_float)
     if not isinstance(doc, dict):
         raise ParseError(f"{what} document must be a JSON object")
     return doc

@@ -7,7 +7,9 @@ truncated walk series, best responses by one full solve per single-edge
 allocation, c* by value iteration rather than policy iteration, and strongly
 connected components by transitive closure, and cycle-parity classes by
 enumerating simple cycles, so results can be checked against genuinely
-different computations.  ``v_map_dense`` and ``equilibrium_dense_oracle``
+different computations.  The ``*_nx`` routines are the structure checks'
+former networkx forms (SCCs, condensation, parity classes and the witness
+back-path by ``nx.shortest_path``), which the CSR routes must match exactly.  ``v_map_dense`` and ``equilibrium_dense_oracle``
 keep the dense-mask forms of the v map and of policy iteration, which the CSR
 routes must match bitwise, and ``brd_reference`` keeps the dense two-loop
 form of the dynamics (one loop per mode) that ``run_brd`` must reproduce
@@ -32,6 +34,16 @@ from katzforge import (
     is_nash,
     katz_solve,
     v_map,
+)
+from katzforge.analysis import (
+    FAIL,
+    INAPPLICABLE,
+    PASS,
+    CheckResult,
+    CondensationGraph,
+    SccComponent,
+    _centralities,
+    _closing_two_paths,
 )
 from katzforge.dynamics import CONVERGED, STEP_LIMIT, STEP_LIMIT_FACTOR, _record
 from katzforge.game import DEFAULT_TOL, SWITCH_MARGIN_ULPS, TIE_REL_TOL, improvement_gaps
@@ -388,3 +400,127 @@ def cycle_parity_oracle(
     for v in range(w.n):
         groups.setdefault(find(v), []).append(v)
     return status, tuple(sorted(tuple(m) for m in groups.values() if len(m) > 1))
+
+
+def support_digraph_nx(w: AllocationProfile) -> nx.DiGraph:
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(w.n))
+    digraph.add_edges_from(w.positive_edges())
+    return digraph
+
+
+def scc_condensation_nx(
+    w: AllocationProfile,
+    budgets: tuple[float, ...] | None = None,
+    centralities: np.ndarray | None = None,
+    centrality_tol: float = DEFAULT_TOL,
+) -> CondensationGraph:
+    """Condensation of the positive-weight digraph of ``w``; when budgets and
+    centralities are supplied, components are annotated with their common
+    values (or flagged non-uniform).  Members come back sorted and components
+    ordered by smallest member, so the numbering is deterministic."""
+    # disjoint sorted lists compare by their first (smallest) member
+    support = support_digraph_nx(w)
+    raw = sorted(sorted(comp) for comp in nx.strongly_connected_components(support))
+    dag = nx.condensation(support, scc=raw)  # node k is component raw[k]
+
+    components = []
+    for k, comp in enumerate(raw):
+        alpha = gamma = None
+        c_uniform = b_uniform = None
+        if centralities is not None:
+            vals = [float(centralities[v]) for v in comp]
+            c_uniform = max(vals) - min(vals) <= centrality_tol
+            alpha = float(np.mean(vals)) if c_uniform else None
+        if budgets is not None:
+            vals = [budgets[v] for v in comp]
+            b_uniform = max(vals) - min(vals) <= BUDGET_EQ_TOL
+            gamma = vals[0] if b_uniform else None
+        components.append(
+            SccComponent(
+                members=tuple(comp),
+                is_sink=dag.out_degree(k) == 0,
+                alpha=alpha,
+                gamma=gamma,
+                centrality_uniform=c_uniform,
+                budget_uniform=b_uniform,
+            )
+        )
+    return CondensationGraph(components=tuple(components), edges=frozenset(dag.edges))
+
+
+def parity_two_paths_nx(support: nx.DiGraph, weights: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Parity classes of the ``support`` digraph of ``weights`` with their
+    closing 2-paths.
+
+    Every simple cycle x_1 -> ... -> x_L -> x_1 of length L >= 3 ties x_k to
+    x_{k+2}, and those ties are exactly its 2-paths; conversely a 2-path
+    u -> v -> w (u != w) lies on a simple cycle iff w reaches u without v.
+    Classes are the connected components of these ties, so an odd cycle puts
+    all its agents in one class and an even cycle its two alternating halves;
+    a class may join several cycles.  The work is done per strongly connected
+    component of m agents: each agent v runs one breadth-first pass from all
+    its successors at once, one dense (outdeg v) x m x m product per level,
+    and skips it when it has a single predecessor or successor, so a plain
+    cycle costs O(m).  Returns the classes of two or more agents, members
+    sorted and classes ordered by smallest member, each with its 2-paths as
+    rows (u, v, w) of 0-based agents."""
+    ties = nx.Graph()
+    rows = [np.empty((0, 3), dtype=int)]
+    for comp in nx.strongly_connected_components(support):
+        if len(comp) < 3:  # two agents close only u -> v -> u, no pair u != w
+            continue
+        idx = np.array(sorted(comp))
+        a = weights[np.ix_(idx, idx)] > 0
+        np.fill_diagonal(a, False)
+        rows.append(idx[_closing_two_paths(a)])
+        ties.add_edges_from(rows[-1][:, [0, 2]].tolist())
+    rows = np.concatenate(rows)
+    classes = sorted(tuple(sorted(comp)) for comp in nx.connected_components(ties))
+    return [(members, rows[np.isin(rows[:, 0], members)]) for members in classes]
+
+
+def check_cycle_parity_nx(
+    g: GameInstance,
+    w: AllocationProfile,
+    tol: float = DEFAULT_TOL,
+    centralities: np.ndarray | None = None,
+) -> CheckResult:
+    """On an undirected underlying topology, odd cycles of a Nash network are
+    budget- and centrality-uniform and even cycles are uniform on each of the
+    two alternating classes.  Every simple cycle is covered, in polynomial
+    time: each parity class (see ``parity_classes``) must have a budget
+    spread within ``BUDGET_EQ_TOL`` and a centrality spread within ``tol``.
+    A failing class gives one witness with its rule, its members and a simple
+    cycle that starts with the class's worst 2-path."""
+    name = "cycle-parity"
+    if not g.topology.is_symmetric():
+        return CheckResult(name, INAPPLICABLE, details={"reason": "underlying topology not symmetric"})
+    c = _centralities(w, centralities)
+    support = support_digraph_nx(w)
+    classes = parity_two_paths_nx(support, w.weights)
+    witnesses = []
+    for members, rows in classes:
+        for rule, values, bound in (
+            ("budget-uniform", g.budget_array, BUDGET_EQ_TOL),
+            ("centrality-uniform", c, tol),
+        ):
+            vals = values[list(members)]
+            if vals.max() - vals.min() > bound:
+                u, v, x = rows[np.argmax(np.abs(values[rows[:, 0]] - values[rows[:, 2]]))].tolist()
+                # the worst 2-path, closed by a shortest x ~> u path avoiding v
+                back = nx.shortest_path(nx.restricted_view(support, [v], []), x, u)
+                witnesses.append(
+                    {
+                        "rule": rule,
+                        "agents": [a + 1 for a in members],
+                        "cycle": [a + 1 for a in [u, v] + back[:-1]],
+                    }
+                )
+                break
+    return CheckResult(
+        name,
+        PASS if not witnesses else FAIL,
+        tuple(witnesses),
+        details={"classes": len(classes)},
+    )

@@ -204,7 +204,7 @@ def test_c07_centrality_identities():
             denom = 1.0 - float(wd.q @ w.weights[i])
             if denom <= 0.0:
                 violations.append((trial, i, "denominator"))
-            if abs(fractional_linear_centrality(i, w.weights[i], wd) - c[i]) > 1e-10:
+            if abs(fractional_linear_centrality(w.weights[i], wd) - c[i]) > 1e-10:
                 violations.append((trial, i, "fractional-linear"))
 
         # truncated series vs solver, entrywise tail bound

@@ -1,3 +1,5 @@
+import itertools
+
 import networkx as nx
 import numpy as np
 
@@ -26,7 +28,15 @@ from katzforge import (
     scc_condensation,
     topology_from_edges,
 )
-from oracles import cycle_parity_oracle, same_scc_oracle
+from katzforge.analysis import _parity_two_paths, _Support
+from oracles import (
+    check_cycle_parity_nx,
+    cycle_parity_oracle,
+    parity_two_paths_nx,
+    same_scc_oracle,
+    scc_condensation_nx,
+    support_digraph_nx,
+)
 
 REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
 
@@ -299,6 +309,90 @@ class TestParityClasses:
             w[a, b] = 0.5
         w[9, 9] = w[10, 11] = w[11, 10] = 0.5
         assert parity_classes(AllocationProfile(w)) == ((0, 1, 2), (3, 5), (4, 6))
+
+
+class TestAgainstNetworkx:
+    """The CSR routes against the former networkx forms, kept as oracles."""
+
+    @staticmethod
+    def random_support(seed: int) -> AllocationProfile:
+        """n <= 40, sparse to dense, with random self-loops and empty rows."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 41))
+        density = min(1.0, float(rng.choice([1.0, 2.0, 4.0])) / n + float(rng.uniform(0, 0.3)))
+        mask = rng.random((n, n)) < density
+        mask[np.diag_indices(n)] = rng.random(n) < 0.3
+        mask[rng.random(n) < 0.15] = False
+        return AllocationProfile(mask * rng.uniform(0.1, 1.0, (n, n)) / n)
+
+    @staticmethod
+    def functional_graph(seed: int) -> AllocationProfile:
+        """At most one successor per agent, as at BRD terminals from zero."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 41))
+        w = np.zeros((n, n))
+        succ = rng.integers(n, size=n)
+        keep = rng.random(n) < 0.9
+        w[np.flatnonzero(keep), succ[keep]] = 0.5
+        return AllocationProfile(w)
+
+    @staticmethod
+    def annotations(n: int, seed: int) -> tuple[tuple[float, ...], np.ndarray]:
+        """Budgets and centralities on two or three levels, so that some
+        components and classes are uniform and others are not."""
+        rng = np.random.default_rng(seed)
+        budgets = tuple(0.2 * float(rng.integers(1, 3)) for _ in range(n))
+        c = rng.integers(1, int(rng.integers(1, 4)) + 1, size=n).astype(float)
+        return budgets, c
+
+    def check_routes(self, w: AllocationProfile, seed: int) -> int:
+        """Assert equal condensation, classes and witnesses; return the number
+        of closing 2-paths with more than one shortest back-path."""
+        budgets, c = self.annotations(w.n, seed)
+        assert scc_condensation(w) == scc_condensation_nx(w)
+        assert scc_condensation(w, budgets, c, 1e-10) == scc_condensation_nx(w, budgets, c, 1e-10)
+        g = complete_instance(budgets)
+        assert check_cycle_parity(g, w, 1e-10, centralities=c) == check_cycle_parity_nx(
+            g, w, 1e-10, centralities=c
+        )
+
+        support, digraph = _Support(w), support_digraph_nx(w)
+        ours, theirs = _parity_two_paths(support), parity_two_paths_nx(digraph, w.weights)
+        assert [members for members, _ in ours] == [members for members, _ in theirs]
+        for (_, rows), (_, expected) in zip(ours, theirs):
+            np.testing.assert_array_equal(rows, expected)
+
+        # a witness cycle starts with a closing 2-path u -> v -> x and goes
+        # back along a shortest x ~> u path avoiding v: compare those paths
+        # for a sample of closing 2-paths
+        rows = np.concatenate([np.empty((0, 3), dtype=int)] + [r for _, r in theirs])
+        ties = 0
+        for u, v, x in np.random.default_rng(seed).permutation(rows)[:6].tolist():
+            view = nx.restricted_view(digraph, [v], [])
+            assert support.shortest_path(x, u, avoid=v) == nx.shortest_path(view, x, u)
+            ties += len(list(itertools.islice(nx.all_shortest_paths(view, x, u), 2))) > 1
+        return ties
+
+    def test_random_supports(self):
+        ties = sum(self.check_routes(self.random_support(seed), seed) for seed in range(300))
+        assert ties > 300
+
+    def test_functional_graphs(self):
+        for seed in range(200):
+            self.check_routes(self.functional_graph(seed), seed)
+
+    def test_deep_chain_needs_no_recursion(self):
+        # a 1500-agent path closed into one cycle: deeper than the default
+        # recursion limit of 1000
+        n = 1500
+        w = np.zeros((n, n))
+        w[np.arange(n), (np.arange(n) + 1) % n] = 0.1
+        cond = scc_condensation(AllocationProfile(w))
+        assert [c.members for c in cond.components] == [tuple(range(n))]
+        w[n - 1, 0] = 0.0
+        cond = scc_condensation(AllocationProfile(w))
+        assert len(cond.components) == n
+        assert cond.edges == frozenset((k, k + 1) for k in range(n - 1))
 
 
 class TestSinkDominance:

@@ -141,28 +141,28 @@ class TestFractionalLinear:
     def test_matches_hand_value(self, i2):
         w = AllocationProfile(np.array([[0.0, 0.5], [0.25, 0.0]]))
         wd = walk_decomposition(i2, w, 0)
-        got = fractional_linear_centrality(0, np.array([0.0, 0.5]), wd)
+        got = fractional_linear_centrality(np.array([0.0, 0.5]), wd)
         assert got == pytest.approx(5 / 7, abs=1e-14)
 
     def test_zero_row_gives_zero(self, i2):
         wd = walk_decomposition(i2, AllocationProfile.zeros(2), 0)
-        assert fractional_linear_centrality(0, np.zeros(2), wd) == 0.0
+        assert fractional_linear_centrality(np.zeros(2), wd) == 0.0
 
     def test_single_edge_on_complete_instance(self, i3):
         w = AllocationProfile(np.array([[0.5, 0.0], [0.0, 0.0]]))
         wd = walk_decomposition(i3, w, 1)
-        got = fractional_linear_centrality(1, np.array([0.25, 0.0]), wd)
+        got = fractional_linear_centrality(np.array([0.25, 0.0]), wd)
         assert got == pytest.approx(0.5, abs=1e-14)
 
     def test_row_outside_support_rejected(self, i2):
         wd = walk_decomposition(i2, AllocationProfile.zeros(2), 0)
         with pytest.raises(FeasibilityError, match="neighborhood"):
-            fractional_linear_centrality(0, np.array([0.1, 0.1]), wd)
+            fractional_linear_centrality(np.array([0.1, 0.1]), wd)
 
     def test_over_budget_row_rejected(self, i2):
         wd = walk_decomposition(i2, AllocationProfile.zeros(2), 0)
         with pytest.raises(FeasibilityError, match="budget"):
-            fractional_linear_centrality(0, np.array([0.0, 0.6]), wd)
+            fractional_linear_centrality(np.array([0.0, 0.6]), wd)
 
 
 class TestCentralityIdentities:
@@ -194,7 +194,7 @@ class TestCentralityIdentities:
             c = katz_solve(w)
             for i in range(g.n):
                 wd = walk_decomposition(g, w, i)
-                assert fractional_linear_centrality(i, w.weights[i], wd) == pytest.approx(
+                assert fractional_linear_centrality(w.weights[i], wd) == pytest.approx(
                     c[i], abs=1e-10
                 )
 

@@ -253,6 +253,17 @@ class TestHugeIntegers:
             errors.append(captured.err)
         assert errors[0] == errors[1] == "error: budgets[1]: must be positive and finite\n"
 
+    def test_budget_beyond_int_digit_limit(self, tmp_path, capsys):
+        errors = []
+        for value in ("1" + "0" * 5000, "1e5000"):
+            inst = tmp_path / "g.json"
+            inst.write_text(f'{{"n": 2, "edges": [[1, 2], [2, 1]], "budgets": [0.5, {value}]}}')
+            assert main(["equilibrium", str(inst)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == "error: budgets[1]: must be positive and finite\n"
+
     @pytest.mark.parametrize("command", ["verify", "analyze"])
     def test_weight(self, i3_file, tmp_path, capsys, command):
         errors = []
@@ -433,3 +444,34 @@ def test_pipeline_under_python_optimize(tmp_path):
     }
     assert "error: weights: weights must be nonnegative" in plain[1]
     assert plain == optimized
+
+
+# Imports the package and the CLI, analyses a cyclic non-Nash profile in the
+# same process, then prints the exit code, the cycle-parity witnesses and
+# whether networkx was loaded along the way.
+ANALYZE_IMPORTS = """
+import json, sys
+from pathlib import Path
+import katzforge, katzforge.cli
+
+code = katzforge.cli.main(["analyze", "g.json", "w.json", "-o", "report.json"])
+parity = json.loads(Path("report.json").read_text())["checks"][3]
+print(code, parity["status"], [w["cycle"] for w in parity["witnesses"]], "networkx" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimize"])
+def test_analyze_imports_no_networkx(tmp_path, flags):
+    # a directed triangle with unequal budgets on a symmetric topology
+    edges = [[1, 2], [2, 1], [2, 3], [3, 2], [3, 1], [1, 3]]
+    (tmp_path / "g.json").write_text(json.dumps({"n": 3, "edges": edges, "budgets": [0.5, 0.4, 0.5]}))
+    w = np.zeros((3, 3))
+    w[0, 1], w[1, 2], w[2, 0] = 0.5, 0.4, 0.5
+    (tmp_path / "w.json").write_text(serialize_allocation(AllocationProfile(w)))
+    src = str(Path(katzforge.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", ANALYZE_IMPORTS],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 fail [[2, 3, 1]] False\n"

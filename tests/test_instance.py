@@ -295,7 +295,9 @@ class TestDocuments:
     HUGE = "1" + "0" * 400
 
     @pytest.mark.parametrize(
-        "integer, literal", [(HUGE, "1e400"), ("-" + HUGE, "-1e400")], ids=["positive", "negative"]
+        "integer, literal",
+        [(HUGE, "1e400"), ("-" + HUGE, "-1e400"), ("1" + "0" * 5000, "1e5000")],
+        ids=["positive", "negative", "beyond-int-digit-limit"],
     )
     def test_huge_integer_budget_reads_as_float_literal(self, integer, literal):
         messages = []
@@ -304,6 +306,20 @@ class TestDocuments:
                 parse_instance(f'{{"n": 2, "edges": [[1, 2], [2, 1]], "budgets": [0.5, {value}]}}')
             messages.append((str(exc.value), exc.value.field))
         assert messages[0] == messages[1] == ("budgets[1]: must be positive and finite", "budgets[1]")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{{"n": {}, "edges": [[1, 1]], "budgets": [0.5]}}', "n: must be a positive integer"),
+            ('{{"n": 1, "edges": [[1, {}]], "budgets": [0.5]}}', "edges[0]: must be a pair of integers"),
+        ],
+        ids=["n", "edge"],
+    )
+    def test_integer_beyond_digit_limit_is_not_an_index(self, doc, message):
+        for value in ("1" + "0" * 5000, "1e5000"):
+            with pytest.raises(ParseError) as exc:
+                parse_instance(doc.format(value))
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "integer, literal",
