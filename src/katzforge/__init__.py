@@ -25,7 +25,6 @@ from .analysis import (
 )
 from .centrality import (
     WalkDecomposition,
-    fractional_linear_centrality,
     katz_solve,
     walk_decomposition,
 )
@@ -54,7 +53,6 @@ from .instance import (
     GameInstance,
     KatzforgeError,
     ParseError,
-    RescaleParameters,
     UnderlyingTopology,
     ValidationReport,
     generate_random_instance,
@@ -63,7 +61,6 @@ from .instance import (
     parse_allocation,
     parse_instance,
     random_profile,
-    rescale,
     serialize_allocation,
     serialize_instance,
     topology_from_edges,
@@ -76,14 +73,12 @@ __all__ = [
     "UnderlyingTopology",
     "GameInstance",
     "AllocationProfile",
-    "RescaleParameters",
     "ValidationReport",
     "KatzforgeError",
     "ParseError",
     "FeasibilityError",
     "validate_instance",
     "is_feasible",
-    "rescale",
     "parse_instance",
     "serialize_instance",
     "parse_allocation",
@@ -95,7 +90,6 @@ __all__ = [
     # centrality
     "katz_solve",
     "walk_decomposition",
-    "fractional_linear_centrality",
     "WalkDecomposition",
     # game
     "v_map",

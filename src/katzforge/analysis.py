@@ -13,7 +13,7 @@ induce.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -142,6 +142,15 @@ class _Support:
         raise ValueError(f"no path from {source} to {target} avoiding {avoid}")
 
 
+@lru_cache(maxsize=1)
+def _support(w: AllocationProfile) -> _Support:
+    """The support of ``w``, kept for the profile last asked about, so the
+    checks of one ``run_structure_checks`` call build it once.  Profiles
+    compare by identity and are read-only, and the cache holds its profile,
+    so an entry can never be served for another profile."""
+    return _Support(w)
+
+
 @dataclass(frozen=True)
 class SccComponent:
     members: tuple[int, ...]
@@ -157,12 +166,6 @@ class CondensationGraph:
     components: tuple[SccComponent, ...]
     edges: frozenset[tuple[int, int]]
 
-    def component_of(self, agent: int) -> int:
-        for k, comp in enumerate(self.components):
-            if agent in comp.members:
-                return k
-        raise KeyError(agent)
-
 
 def scc_condensation(
     w: AllocationProfile,
@@ -174,15 +177,7 @@ def scc_condensation(
     centralities are supplied, components are annotated with their common
     values (or flagged non-uniform).  Members come back sorted and components
     ordered by smallest member, so the numbering is deterministic."""
-    return _condense(_Support(w), budgets, centralities, centrality_tol)
-
-
-def _condense(
-    support: _Support,
-    budgets: tuple[float, ...] | None,
-    centralities: np.ndarray | None,
-    centrality_tol: float,
-) -> CondensationGraph:
+    support = _support(w)
     # component edges and sinks in one pass over the support's edges
     tail, head = support.labels[support.rows], support.labels[support.cols]
     cross = tail != head
@@ -274,7 +269,8 @@ def check_complete_topology(
             witnesses.append(
                 {"agent": i + 1, "rule": "budget-exhaustion", "got": float(row_sums[i])}
             )
-    for i, j in w.positive_edges():
+    support = _support(w)
+    for i, j in zip(support.rows.tolist(), support.cols.tolist()):
         if abs(g.budgets[j] - bm) > BUDGET_EQ_TOL:
             witnesses.append(
                 {"edge": [i + 1, j + 1], "rule": "target-max-budget", "target_budget": g.budgets[j]}
@@ -295,9 +291,10 @@ def check_hierarchy(
     if not g.topology.has_all_self_loops():
         return CheckResult(name, INAPPLICABLE, details={"reason": "not all agents have self-loops"})
     c = _centralities(w, centralities)
+    support = _support(w)
     witnesses = tuple(
         {"edge": [i + 1, j + 1], "c_source": float(c[i]), "c_target": float(c[j])}
-        for i, j in w.positive_edges()
+        for i, j in zip(support.rows.tolist(), support.cols.tolist())
         if c[i] > c[j] + tol
     )
     return CheckResult(name, PASS if not witnesses else FAIL, witnesses)
@@ -311,21 +308,11 @@ def check_scc_uniformity(
 ) -> CheckResult:
     """Members of one SCC of a Nash network share budget and centrality; an
     SCC of size >= 2 also forces its common centrality onto any SCC it points at."""
-    return _scc_uniformity(g, w, tol, centralities, _Support(w))
-
-
-def _scc_uniformity(
-    g: GameInstance,
-    w: AllocationProfile,
-    tol: float,
-    centralities: np.ndarray | None,
-    support: _Support,
-) -> CheckResult:
     name = "scc-uniformity"
     if not g.topology.has_all_self_loops():
         return CheckResult(name, INAPPLICABLE, details={"reason": "not all agents have self-loops"})
     c = _centralities(w, centralities)
-    cond = _condense(support, g.budgets, c, tol)
+    cond = scc_condensation(w, g.budgets, c, tol)
     witnesses = []
     for k, comp in enumerate(cond.components):
         if comp.centrality_uniform is False:
@@ -432,7 +419,7 @@ def _parity_two_paths(support: _Support) -> list[tuple[tuple[int, ...], np.ndarr
 def parity_classes(w: AllocationProfile) -> tuple[tuple[int, ...], ...]:
     """Parity classes (0-based, two or more agents each) of the support of
     ``w``: the partition the cycle-parity check tests for uniformity."""
-    return tuple(members for members, _ in _parity_two_paths(_Support(w)))
+    return tuple(members for members, _ in _parity_two_paths(_support(w)))
 
 
 def check_cycle_parity(
@@ -448,20 +435,11 @@ def check_cycle_parity(
     spread within ``BUDGET_EQ_TOL`` and a centrality spread within ``tol``.
     A failing class gives one witness with its rule, its members and a simple
     cycle that starts with the class's worst 2-path."""
-    return _cycle_parity(g, w, tol, centralities, _Support(w))
-
-
-def _cycle_parity(
-    g: GameInstance,
-    w: AllocationProfile,
-    tol: float,
-    centralities: np.ndarray | None,
-    support: _Support,
-) -> CheckResult:
     name = "cycle-parity"
     if not g.topology.is_symmetric():
         return CheckResult(name, INAPPLICABLE, details={"reason": "underlying topology not symmetric"})
     c = _centralities(w, centralities)
+    support = _support(w)
     classes = _parity_two_paths(support)
     witnesses = []
     for members, rows in classes:
@@ -496,16 +474,16 @@ def run_structure_checks(
     tol: float = DEFAULT_TOL,
 ) -> tuple[StructureReport, CondensationGraph]:
     """All applicable checks on one profile, sharing a single centrality solve
-    and one support digraph with its strongly connected components."""
+    and, through the support cache, one support digraph with its strongly
+    connected components."""
     c = katz_solve(w)
-    support = _Support(w)
     checks = (
         check_complete_topology(g, w, tol, centralities=c),
         check_hierarchy(g, w, tol, centralities=c),
-        _scc_uniformity(g, w, tol, c, support),
-        _cycle_parity(g, w, tol, c, support),
+        check_scc_uniformity(g, w, tol, centralities=c),
+        check_cycle_parity(g, w, tol, centralities=c),
     )
-    return StructureReport(checks), _condense(support, g.budgets, c, tol)
+    return StructureReport(checks), scc_condensation(w, g.budgets, c, tol)
 
 
 def export_condensation_dot(cond: CondensationGraph) -> str:

@@ -43,7 +43,7 @@ def _require_substochastic(a: np.ndarray) -> None:
 def _solve_checked(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = np.linalg.solve(m, b)
     residual = np.max(np.abs(m @ x - b))
-    if residual > SOLVE_RESIDUAL_TOL * m.shape[0]:
+    if not residual <= SOLVE_RESIDUAL_TOL * m.shape[0]:  # NaN fails too
         raise ArithmeticError(f"linear solve residual {residual} exceeds bound")
     return x
 
@@ -180,27 +180,3 @@ class Resolvent:
                 return
         self.rebuilds += 1
         self._build()
-
-
-def fractional_linear_centrality(row: np.ndarray, wd: WalkDecomposition) -> float:
-    """Centrality of the focal agent i of ``wd`` as a fractional-linear
-    function of its own row: (sum_j d[j] w_ij) / (1 - sum_j q[j] w_ij).
-
-    Agrees with ``katz_solve`` entrywise to ``CROSS_CHECK_TOL`` on feasible
-    profiles.
-    """
-    row = np.asarray(row, dtype=float)
-    if row.shape != wd.q.shape:
-        raise ValueError(f"row has shape {row.shape}, expected {wd.q.shape}")
-    if np.any(row < 0):
-        raise ValueError("row must be nonnegative")
-    support = set(np.nonzero(row > 0)[0].tolist())
-    if not support <= set(wd.neighbors):
-        raise FeasibilityError("row allocates outside the underlying neighborhood")
-    if row.sum() > wd.budget:
-        raise FeasibilityError(f"row sum {row.sum()} exceeds budget {wd.budget}")
-
-    denom = 1.0 - float(wd.q @ row)
-    if denom <= 0:
-        raise FeasibilityError(f"fractional-linear denominator {denom} is not positive")
-    return float(wd.d @ row) / denom

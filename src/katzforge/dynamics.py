@@ -154,9 +154,6 @@ class BrdTrace:
     def converged(self) -> bool:
         return self.status == CONVERGED
 
-    def centrality_history(self) -> np.ndarray:
-        return np.array([s.centralities for s in self.steps])
-
 
 def _record(step: int, agent: int | None, row: np.ndarray | None, c: np.ndarray, residual: float) -> BrdStep:
     """Keeps ``c`` and ``row``, which nothing else may hold, and marks them read-only."""

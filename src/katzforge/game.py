@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import (
-    WalkDecomposition,
-    fractional_linear_centrality,
-    katz_solve,
-    walk_decomposition,
-)
+from .centrality import WalkDecomposition, katz_solve, walk_decomposition
 from .instance import (
     AllocationProfile,
     GameInstance,
@@ -46,7 +41,7 @@ def v_map(g: GameInstance, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({g.n},)")
-    if np.any(x < 0):
+    if not np.all(x >= 0):  # NaN fails too
         raise ValueError("x must be nonnegative")
     cols, offsets = g.topology.neighbor_index
     if np.any(offsets[1:] == offsets[:-1]):
@@ -170,9 +165,12 @@ def _best_response(wd: WalkDecomposition) -> BestResponseResult:
     # neighbors ascend, so the tied set does too
     argmax_set = tuple(j for j, v in scores if v >= top * (1.0 - TIE_REL_TOL))
     j_star = argmax_set[0]
+    b = wd.budget
     canonical = np.zeros(wd.q.shape)
-    canonical[j_star] = wd.budget
-    achieved = fractional_linear_centrality(canonical, wd)
+    canonical[j_star] = b
+    # the fractional-linear value (d . row) / (1 - q . row) of the canonical
+    # row; its denominator was checked positive with the decomposition
+    achieved = float(wd.d[j_star] * b / (1.0 - wd.q[j_star] * b))
     return BestResponseResult(
         agent=wd.agent, argmax_set=argmax_set, canonical=canonical, achieved_value=achieved
     )

@@ -12,7 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -113,8 +113,7 @@ class GameInstance:
     """Underlying topology plus per-agent resource budgets.
 
     Budgets must be positive; the standing bound B_i < 1 is checked by
-    ``validate_instance`` (and enforced at parse time), not at construction,
-    so that pre-rescale instances with larger budgets can be represented.
+    ``validate_instance`` (and enforced at parse time), not at construction.
     """
 
     topology: UnderlyingTopology
@@ -171,29 +170,6 @@ class AllocationProfile:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.weights[i].copy()
-
-    def with_row(self, i: int, row: Sequence[float]) -> AllocationProfile:
-        w = np.array(self.weights)
-        w[i, :] = row
-        return AllocationProfile(w)
-
-    def positive_edges(self) -> list[tuple[int, int]]:
-        ii, jj = np.nonzero(self.weights > 0)
-        return list(zip(ii.tolist(), jj.tolist()))
-
-
-@dataclass(frozen=True)
-class RescaleParameters:
-    """Discount factor folded into the weights; after rescale the discount is 1."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be a positive scalar, got {self.delta}")
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -237,20 +213,6 @@ def is_feasible(g: GameInstance, w: AllocationProfile) -> bool:
 def require_feasible(g: GameInstance, w: AllocationProfile) -> None:
     if not is_feasible(g, w):
         raise FeasibilityError("allocation profile violates support or budget constraints")
-
-
-def rescale(g: GameInstance, r: RescaleParameters) -> GameInstance:
-    """Scale all budgets by delta, folding the discount factor into the weights.
-
-    Centralities are invariant: c under (B, delta) equals c under
-    (delta*B, discount 1) once every profile is scaled the same way.
-    """
-    bm = g.b_max
-    if not r.delta * bm < 1:
-        raise ValueError(
-            f"delta*max(B) = {r.delta * bm} is not < 1; delta must be below {1 / bm}"
-        )
-    return GameInstance(g.topology, tuple(r.delta * b for b in g.budgets), name=g.name)
 
 
 # --- documents -------------------------------------------------------------

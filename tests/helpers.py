@@ -15,6 +15,13 @@ from katzforge import (
 )
 
 
+def with_row(w: AllocationProfile, i: int, row) -> AllocationProfile:
+    """``w`` with agent i's row replaced by ``row``."""
+    a = np.array(w.weights)
+    a[i, :] = row
+    return AllocationProfile(a)
+
+
 def complete_instance(budgets, self_loops: bool = True) -> GameInstance:
     n = len(budgets)
     adj = [(i, j) for i in range(n) for j in range(n) if self_loops or i != j]

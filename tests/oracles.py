@@ -3,14 +3,16 @@
 These deliberately avoid the routes used by the package: walk masses are
 obtained by literal path enumeration (exponential, small cases) and by
 per-length series accumulation (any depth), Katz centralities by the
-truncated walk series, best responses by one full solve per single-edge
-allocation, c* by value iteration rather than policy iteration, and strongly
-connected components by transitive closure, and cycle-parity classes by
-enumerating simple cycles, so results can be checked against genuinely
-different computations.  The ``*_nx`` routines are the structure checks'
-former networkx forms (SCCs, condensation, parity classes and the witness
-back-path by ``nx.shortest_path``), which the CSR routes must match exactly.  ``v_map_dense`` and ``equilibrium_dense_oracle``
-keep the dense-mask forms of the v map and of policy iteration, which the CSR
+truncated walk series, an agent's centrality as the fractional-linear
+function (d . row) / (1 - q . row) of its own row, best responses by one
+full solve per single-edge allocation, c* by value iteration rather than
+policy iteration, strongly connected components by transitive closure, and
+cycle-parity classes by enumerating simple cycles, so results can be checked
+against genuinely different computations.  The ``*_nx`` routines are the
+structure checks' former networkx forms (SCCs, condensation, parity classes
+and the witness back-path by ``nx.shortest_path``), which the CSR routes
+must match exactly.  ``v_map_dense`` and ``equilibrium_dense_oracle`` keep
+the dense-mask forms of the v map and of policy iteration, which the CSR
 routes must match bitwise, and ``brd_reference`` keeps the dense two-loop
 form of the dynamics (one loop per mode) that ``run_brd`` must reproduce
 bitwise.
@@ -23,13 +25,16 @@ import math
 import networkx as nx
 import numpy as np
 
+from helpers import with_row
 from katzforge import (
     AllocationProfile,
     BestResponseResult,
     BrdConfig,
     BrdTrace,
     EquilibriumCertificate,
+    FeasibilityError,
     GameInstance,
+    WalkDecomposition,
     best_response,
     is_nash,
     katz_solve,
@@ -63,6 +68,30 @@ def katz_series(w: AllocationProfile | np.ndarray, depth: int) -> np.ndarray:
         term = a @ term
         acc += term
     return acc
+
+
+def fractional_linear_centrality(row: np.ndarray, wd: WalkDecomposition) -> float:
+    """Centrality of the focal agent i of ``wd`` as a fractional-linear
+    function of its own row: (sum_j d[j] w_ij) / (1 - sum_j q[j] w_ij).
+
+    Agrees with ``katz_solve`` entrywise to ``CROSS_CHECK_TOL`` on feasible
+    profiles.
+    """
+    row = np.asarray(row, dtype=float)
+    if row.shape != wd.q.shape:
+        raise ValueError(f"row has shape {row.shape}, expected {wd.q.shape}")
+    if np.any(row < 0):
+        raise ValueError("row must be nonnegative")
+    support = set(np.nonzero(row > 0)[0].tolist())
+    if not support <= set(wd.neighbors):
+        raise FeasibilityError("row allocates outside the underlying neighborhood")
+    if row.sum() > wd.budget:
+        raise FeasibilityError(f"row sum {row.sum()} exceeds budget {wd.budget}")
+
+    denom = 1.0 - float(wd.q @ row)
+    if denom <= 0:
+        raise FeasibilityError(f"fractional-linear denominator {denom} is not positive")
+    return float(wd.d @ row) / denom
 
 
 def support_mask(g: GameInstance) -> np.ndarray:
@@ -130,7 +159,7 @@ def best_response_oracle(
     for j in g.topology.out_neighbors(i):
         trial = np.zeros(g.n)
         trial[j] = g.budgets[i]
-        values.append((j, float(katz_solve(w.with_row(i, trial))[i])))
+        values.append((j, float(katz_solve(with_row(w, i, trial))[i])))
     top = max(v for _, v in values)
     argmax_set = tuple(sorted(j for j, v in values if v >= top * (1.0 - tie_tol)))
     j_star = argmax_set[0]
@@ -158,7 +187,7 @@ def unilateral_swap_check(
     base = is_nash(g, w_star, tol)
     if not base.is_nash:
         raise ValueError(f"precondition failed: w_star is not Nash (residual {base.residual})")
-    swapped = w_star.with_row(i, x_row)
+    swapped = with_row(w_star, i, x_row)
     require_feasible(g, swapped)
     c_before = katz_solve(w_star)
     c_after = katz_solve(swapped)
@@ -198,11 +227,11 @@ def _standard_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
         if i is None:  # explicit schedule exhausted
             break
         if cfg.lazy and gaps[i] <= cfg.tol:
-            row = w.row(i)
+            row = w.weights[i].copy()
         else:
             br = best_response(g, i, w)
             row = br.canonical
-            w = w.with_row(i, row)
+            w = with_row(w, i, row)
             c = katz_solve(w)
             gaps = v_map(g, c) - c
             residual = float(np.max(np.abs(gaps)))
@@ -240,7 +269,7 @@ def _modified_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
             break
         k += 1
         br = best_response(g, i, w)
-        w = w.with_row(i, br.canonical)
+        w = with_row(w, i, br.canonical)
         c_next = katz_solve(w)
         if not c_next[i] > c[i]:
             raise ArithmeticError(
@@ -378,7 +407,7 @@ def cycle_parity_oracle(
     that the cycles' ties join, members sorted, ordered by smallest member."""
     digraph = nx.DiGraph()
     digraph.add_nodes_from(range(w.n))
-    digraph.add_edges_from(w.positive_edges())
+    digraph.add_edges_from(np.argwhere(w.weights > 0).tolist())
     parent = list(range(w.n))
 
     def find(x: int) -> int:
@@ -405,7 +434,7 @@ def cycle_parity_oracle(
 def support_digraph_nx(w: AllocationProfile) -> nx.DiGraph:
     digraph = nx.DiGraph()
     digraph.add_nodes_from(range(w.n))
-    digraph.add_edges_from(w.positive_edges())
+    digraph.add_edges_from(np.argwhere(w.weights > 0).tolist())
     return digraph
 
 

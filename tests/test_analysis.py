@@ -23,11 +23,13 @@ from katzforge import (
     is_nash,
     katz_solve,
     parity_classes,
+    random_profile,
     run_brd,
     run_structure_checks,
     scc_condensation,
     topology_from_edges,
 )
+from katzforge import analysis
 from katzforge.analysis import _parity_two_paths, _Support
 from oracles import (
     check_cycle_parity_nx,
@@ -94,9 +96,11 @@ class TestTarjan:
             members = [list(c.members) for c in cond.components]
             assert all(m == sorted(m) for m in members)
             assert [m[0] for m in members] == sorted(m[0] for m in members)
-            comp = np.array([cond.component_of(v) for v in range(g.n)])
+            comp = np.empty(g.n, dtype=int)
+            for k, c in enumerate(cond.components):
+                comp[list(c.members)] = k
             np.testing.assert_array_equal(comp[:, None] == comp[None, :], same_scc_oracle(w.weights))
-            expected_edges = {(comp[i], comp[j]) for i, j in w.positive_edges() if comp[i] != comp[j]}
+            expected_edges = {(comp[i], comp[j]) for i, j in np.argwhere(w.weights > 0) if comp[i] != comp[j]}
             assert cond.edges == expected_edges
 
     def test_condensation_is_acyclic(self):
@@ -403,7 +407,7 @@ class TestSinkDominance:
             c = katz_solve(ne)
             cond = scc_condensation(ne, budgets=g.budgets, centralities=c)
             top = np.argmax(c)
-            assert cond.components[cond.component_of(int(top))].is_sink
+            assert next(comp for comp in cond.components if top in comp.members).is_sink
 
 
 class TestReportAndDot:
@@ -434,3 +438,94 @@ class TestReportAndDot:
         dot = export_condensation_dot(cond)
         assert "alpha=non-uniform" in dot
         assert "gamma=non-uniform" in dot
+
+
+class TestSupportCache:
+    """The checks of one profile share one support, and no profile is ever
+    served another profile's support."""
+
+    CHECKS = (
+        "check_complete_topology",
+        "check_hierarchy",
+        "check_scc_uniformity",
+        "check_cycle_parity",
+        "scc_condensation",
+    )
+
+    def test_one_support_and_each_public_check_once_per_call(self, monkeypatch):
+        built = []
+
+        class CountingSupport(_Support):
+            def __init__(self, w):
+                built.append(w)
+                super().__init__(w)
+
+        monkeypatch.setattr(analysis, "_Support", CountingSupport)
+        top_level, open_calls = [], []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if not open_calls:
+                    top_level.append(name)
+                open_calls.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    open_calls.pop()
+
+            return wrapper
+
+        for name in self.CHECKS:
+            monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
+
+        g_loops, w_loops = self_loop_experiment()
+        complete = complete_instance((0.5,) * 12)
+        directed = GameInstance(topology_from_edges(3, [(0, 1), (1, 2), (2, 0)]), (0.5, 0.5, 0.5))
+        cases = [
+            (g_loops, w_loops),
+            (complete, circulant_profile(complete, 5, seed=1)),
+            (complete, find_ne(complete)),
+            (directed, AllocationProfile(np.roll(np.eye(3), 1, axis=1) * 0.5)),
+        ]
+        for g, w in cases:
+            built.clear()
+            top_level.clear()
+            run_structure_checks(g, w)
+            assert len(built) == 1 and built[0] is w
+            assert top_level == list(self.CHECKS)
+
+    def test_alternating_profiles_match_the_oracles(self):
+        games = [undirected_game(seed) for seed in range(12)] + [complete_instance((0.5,) * 8)]
+        for seed, g in enumerate(games):
+            profiles = (random_profile(g, seed), find_ne(g, seed=seed))
+            assert not np.array_equal(profiles[0].weights > 0, profiles[1].weights > 0)
+            c = [katz_solve(w) for w in profiles]
+            oracles = []
+            for w, cw in zip(profiles, c):
+                # checks without a networkx twin, each with an empty cache
+                fresh = []
+                for check in (check_complete_topology, check_hierarchy, check_scc_uniformity):
+                    analysis._support.cache_clear()
+                    fresh.append(check(g, w, 1e-10, centralities=cw))
+                oracles.append(
+                    (
+                        fresh,
+                        check_cycle_parity_nx(g, w, 1e-10, centralities=cw),
+                        scc_condensation_nx(w, g.budgets, cw, 1e-10),
+                        [m for m, _ in parity_two_paths_nx(support_digraph_nx(w), w.weights)],
+                    )
+                )
+            for k in (0, 1, 0, 1, 1, 0):
+                w, cw = profiles[k], c[k]
+                fresh, parity, cond, classes = oracles[k]
+                assert [
+                    check(g, w, 1e-10, centralities=cw)
+                    for check in (check_complete_topology, check_hierarchy, check_scc_uniformity)
+                ] == fresh
+                assert check_cycle_parity(g, w, 1e-10, centralities=cw) == parity
+                assert scc_condensation(w, g.budgets, cw, 1e-10) == cond
+                assert list(parity_classes(w)) == classes
+                report, condensation = run_structure_checks(g, w, 1e-10)
+                assert report.checks == (*fresh, parity)
+                assert condensation == cond
+

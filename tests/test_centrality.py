@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import random_feasible_profile, random_game
+from helpers import random_feasible_profile, random_game, with_row
 from katzforge import (
     AllocationProfile,
     FeasibilityError,
-    fractional_linear_centrality,
     katz_solve,
     walk_decomposition,
 )
 from katzforge.centrality import CROSS_CHECK_TOL, Resolvent
 from oracles import (
     brute_walk_sums,
+    fractional_linear_centrality,
     katz_series,
     series_pq,
     series_pq_per_length,
@@ -35,6 +35,12 @@ class TestKatzSolve:
     def test_row_sum_at_one_rejected(self):
         with pytest.raises(FeasibilityError, match="row 1"):
             katz_solve(np.array([[1.0]]))
+
+    def test_nan_residual_rejected(self):
+        # a NaN weight passes the row-sum test and solves to NaN; its NaN
+        # residual must fail the bound, not slip past it
+        with pytest.raises(ArithmeticError, match="residual nan exceeds bound"):
+            katz_solve(np.array([[np.nan]]))
 
     def test_residual_bound_on_random_profiles(self):
         for seed in range(50):
@@ -213,9 +219,9 @@ class TestCentralityIdentities:
                 continue
             i, j = candidates[int(rng.integers(len(candidates)))]
             bump = min(1e-3, g.budgets[i] - w.weights[i].sum())
-            row = w.row(i)
+            row = w.weights[i].copy()
             row[j] += bump
-            c1 = katz_solve(w.with_row(i, row))
+            c1 = katz_solve(with_row(w, i, row))
             assert np.all(c1 >= c0 - 1e-12)
 
 
@@ -242,7 +248,7 @@ class TestResolvent:
             for _ in range(50):
                 i = int(rng.integers(g.n))
                 row = _random_row(g, i, rng)
-                w = w.with_row(i, row)
+                w = with_row(w, i, row)
                 res.replace_row(i, row, katz_solve(w))
             assert res.rebuilds == 0
             for i in range(g.n):
@@ -259,14 +265,14 @@ class TestResolvent:
         res = Resolvent(w)
         res._m *= 1.0 + 1e-6
         row = np.array([0.0, 0.5])
-        w = w.with_row(0, row)
+        w = with_row(w, 0, row)
         res.replace_row(0, row, katz_solve(w))
         assert res.rebuilds == 1
         np.testing.assert_allclose(res._m, np.linalg.inv(np.eye(2) - w.weights), rtol=1e-14)
         # an update whose denominator is not positive rebuilds too
         res._m[:] = 0.0
         res._m[0, 0] = 10.0  # 1 - delta M e_1 = 1 - 0.4 * 10 < 0
-        w = w.with_row(0, np.array([0.4, 0.0]))
+        w = with_row(w, 0, np.array([0.4, 0.0]))
         res.replace_row(0, np.array([0.4, 0.0]), katz_solve(w))
         assert res.rebuilds == 2
         np.testing.assert_allclose(res._m, np.linalg.inv(np.eye(2) - w.weights), rtol=1e-14)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import complete_instance, random_feasible_profile, random_game
+from helpers import complete_instance, random_feasible_profile, random_game, with_row
 from katzforge import (
     AllocationProfile,
     BrdConfig,
@@ -136,7 +136,7 @@ class TestRunBrd:
             g = random_game(seed, n_max=12)
             w0 = random_feasible_profile(g, seed + 17)
             trace = run_brd(g, w0, BrdConfig(tol=1e-8))
-            hist = trace.centrality_history()
+            hist = np.array([s.centralities for s in trace.steps])
             assert np.all(np.diff(hist, axis=0) >= -1e-12)
             assert all(s.residual >= 0 for s in trace.steps)
 
@@ -185,7 +185,7 @@ class TestRunModifiedBrd:
             profiles = set()
             w = AllocationProfile.zeros(g.n)
             for step in trace.steps[1:]:
-                w = w.with_row(step.agent, step.row)
+                w = with_row(w, step.agent, step.row)
                 key = w.weights.tobytes()
                 assert key not in profiles
                 profiles.add(key)
@@ -262,7 +262,7 @@ class TestAgainstReference:
             _, gaps = improvement_gaps(g, w)
             assert gaps[step.agent] > tol  # only improvers move
             assert step.centralities[step.agent] > prev.centralities[step.agent]
-            w = w.with_row(step.agent, step.row)
+            w = with_row(w, step.agent, step.row)
         standard = run_brd(g, w0, BrdConfig(tol=tol))
         assert standard.config.mode == "standard"
         assert standard.total_steps != trace.total_steps

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete_instance, find_ne, random_feasible_profile, random_game
+from helpers import complete_instance, find_ne, random_feasible_profile, random_game, with_row
 from katzforge import (
     AllocationProfile,
     GameInstance,
@@ -41,6 +41,10 @@ class TestVMap:
     def test_negative_entry_rejected(self, i2):
         with pytest.raises(ValueError, match="nonnegative"):
             v_map(i2, np.array([-0.1, 0.0]))
+
+    def test_nan_entry_rejected(self, i2):
+        with pytest.raises(ValueError, match="nonnegative"):
+            v_map(i2, np.array([np.nan, 0.0]))
 
     def test_wrong_length_rejected(self, i2):
         with pytest.raises(ValueError, match="shape"):
@@ -222,7 +226,7 @@ class TestBestResponse:
                 for j in br.argmax_set:
                     trial = np.zeros(g.n)
                     trial[j] = g.budgets[i]
-                    c = katz_solve(w.with_row(i, trial))
+                    c = katz_solve(with_row(w, i, trial))
                     assert c[i] == pytest.approx(br.achieved_value, abs=1e-10)
 
 
@@ -246,6 +250,11 @@ class TestImprovementGaps:
         assert {i for i in range(g.n) if gaps[i] > tol} == improvers
         # no improver left means every agent best-responds: |gap| <= tol
         assert (float(np.max(np.abs(gaps))) <= tol) == (not improvers)
+
+    def test_nan_weights_rejected(self, i3):
+        # no NaN gaps: the centrality solve rejects its NaN residual
+        with pytest.raises(ArithmeticError, match="residual"):
+            improvement_gaps(i3, np.array([[np.nan, 0.0], [0.25, 0.0]]))
 
 
 class TestResponsePredicates:
@@ -310,7 +319,7 @@ class TestIsNash:
 
 class TestUnilateralSwap:
     def test_identity_swap(self, i3, i3_ne):
-        assert unilateral_swap_check(i3, i3_ne, 0, i3_ne.row(0))
+        assert unilateral_swap_check(i3, i3_ne, 0, i3_ne.weights[0].copy())
 
     def test_tied_swap_on_symmetric_triangle(self):
         g = complete_instance((0.4, 0.4, 0.4))
@@ -360,7 +369,7 @@ class TestGameInvariants:
             c0 = katz_solve(w)
             for i in range(g.n):
                 br = best_response(g, i, w)
-                c1 = katz_solve(w.with_row(i, br.canonical))
+                c1 = katz_solve(with_row(w, i, br.canonical))
                 assert c1[i] >= c0[i] - 1e-12
                 assert np.all(c1 >= c0 - 1e-12)
 
@@ -370,7 +379,7 @@ class TestGameInvariants:
             w = random_feasible_profile(g, seed + 13)
             for i in range(g.n):
                 br = best_response(g, i, w)
-                after = w.with_row(i, br.canonical)
+                after = with_row(w, i, br.canonical)
                 c = katz_solve(after)
                 best = max(c[k] for k in g.topology.out_neighbors(i))
                 for j in np.nonzero(br.canonical > 0)[0]:

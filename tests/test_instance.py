@@ -11,14 +11,12 @@ from katzforge import (
     AllocationProfile,
     GameInstance,
     ParseError,
-    RescaleParameters,
     generate_random_instance,
     instance_digest,
     is_feasible,
     parse_allocation,
     parse_instance,
     random_profile,
-    rescale,
     serialize_allocation,
     serialize_instance,
     topology_from_edges,
@@ -175,35 +173,6 @@ class TestFeasibility:
             verdicts.append(is_feasible(g, profile))
             assert verdicts[-1] == is_feasible_dense(g, profile)
         assert set(verdicts) == {True, False}
-
-
-class TestRescale:
-    def test_single_budget(self):
-        g = GameInstance(topology_from_edges(1, [(0, 0)]), (2.0,))
-        assert rescale(g, RescaleParameters(0.25)).budgets == (0.5,)
-
-    def test_two_budgets(self):
-        g = GameInstance(topology_from_edges(2, [(0, 1), (1, 0)]), (2.0, 3.0))
-        assert rescale(g, RescaleParameters(0.25)).budgets == (0.5, 0.75)
-
-    def test_boundary_rejected_naming_bound(self):
-        g = GameInstance(topology_from_edges(1, [(0, 0)]), (2.0,))
-        with pytest.raises(ValueError, match="0.5"):
-            rescale(g, RescaleParameters(0.5))
-
-    def test_rescale_preserves_equilibrium_structure(self):
-        # same topology: NE centralities of (B/delta, delta) after rescale
-        # match those of the directly built (B, delta=1) instance
-        from katzforge import equilibrium_centralities
-
-        big = GameInstance(
-            topology_from_edges(3, [(0, 1), (1, 2), (2, 0), (0, 0)]), (2.0, 1.5, 3.0)
-        )
-        scaled = rescale(big, RescaleParameters(0.2))
-        direct = GameInstance(big.topology, tuple(0.2 * b for b in big.budgets))
-        a = equilibrium_centralities(scaled, tol=1e-12).c_star
-        b = equilibrium_centralities(direct, tol=1e-12).c_star
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestDocuments:
