@@ -54,7 +54,6 @@ from .instance import (
     KatzforgeError,
     ParseError,
     UnderlyingTopology,
-    ValidationReport,
     generate_random_instance,
     instance_digest,
     is_feasible,
@@ -64,7 +63,6 @@ from .instance import (
     serialize_allocation,
     serialize_instance,
     topology_from_edges,
-    validate_instance,
 )
 
 __all__ = [
@@ -73,11 +71,9 @@ __all__ = [
     "UnderlyingTopology",
     "GameInstance",
     "AllocationProfile",
-    "ValidationReport",
     "KatzforgeError",
     "ParseError",
     "FeasibilityError",
-    "validate_instance",
     "is_feasible",
     "parse_instance",
     "serialize_instance",

@@ -167,6 +167,22 @@ class CondensationGraph:
     edges: frozenset[tuple[int, int]]
 
 
+def _require_sizes(
+    n: int,
+    w: AllocationProfile,
+    budgets: tuple[float, ...] | None = None,
+    centralities: np.ndarray | None = None,
+) -> None:
+    """Raise ValueError unless ``w`` is n x n and ``budgets`` and
+    ``centralities``, when given, hold one value per agent.  Budget
+    feasibility of ``w`` is not required: over-budget supports are analysed."""
+    if w.n != n:
+        raise ValueError(f"profile is {w.n}x{w.n} but instance has n={n}")
+    for label, values in (("budgets", budgets), ("centralities", centralities)):
+        if values is not None and np.shape(values) != (n,):
+            raise ValueError(f"{label} has shape {np.shape(values)}, expected ({n},)")
+
+
 def scc_condensation(
     w: AllocationProfile,
     budgets: tuple[float, ...] | None = None,
@@ -177,6 +193,7 @@ def scc_condensation(
     centralities are supplied, components are annotated with their common
     values (or flagged non-uniform).  Members come back sorted and components
     ordered by smallest member, so the numbering is deterministic."""
+    _require_sizes(w.n, w, budgets, centralities)
     support = _support(w)
     # component edges and sinks in one pass over the support's edges
     tail, head = support.labels[support.rows], support.labels[support.cols]
@@ -252,6 +269,7 @@ def check_complete_topology(
     c_i = B_i / (1 - B_M), exhaust every budget, and aim every positive edge
     at a maximum-budget agent."""
     name = "complete-closed-form"
+    _require_sizes(g.n, w, centralities=centralities)
     if not g.topology.is_complete():
         return CheckResult(name, INAPPLICABLE, details={"reason": "topology not complete"})
     c = _centralities(w, centralities)
@@ -288,6 +306,7 @@ def check_hierarchy(
     """With self-loops available everywhere, Nash agents only point at
     neighbors whose centrality is at least their own."""
     name = "hierarchy"
+    _require_sizes(g.n, w, centralities=centralities)
     if not g.topology.has_all_self_loops():
         return CheckResult(name, INAPPLICABLE, details={"reason": "not all agents have self-loops"})
     c = _centralities(w, centralities)
@@ -309,6 +328,7 @@ def check_scc_uniformity(
     """Members of one SCC of a Nash network share budget and centrality; an
     SCC of size >= 2 also forces its common centrality onto any SCC it points at."""
     name = "scc-uniformity"
+    _require_sizes(g.n, w, centralities=centralities)
     if not g.topology.has_all_self_loops():
         return CheckResult(name, INAPPLICABLE, details={"reason": "not all agents have self-loops"})
     c = _centralities(w, centralities)
@@ -436,6 +456,7 @@ def check_cycle_parity(
     A failing class gives one witness with its rule, its members and a simple
     cycle that starts with the class's worst 2-path."""
     name = "cycle-parity"
+    _require_sizes(g.n, w, centralities=centralities)
     if not g.topology.is_symmetric():
         return CheckResult(name, INAPPLICABLE, details={"reason": "underlying topology not symmetric"})
     c = _centralities(w, centralities)
@@ -476,6 +497,7 @@ def run_structure_checks(
     """All applicable checks on one profile, sharing a single centrality solve
     and, through the support cache, one support digraph with its strongly
     connected components."""
+    _require_sizes(g.n, w)
     c = katz_solve(w)
     checks = (
         check_complete_topology(g, w, tol, centralities=c),

@@ -24,7 +24,7 @@ import numpy as np
 
 from .centrality import Resolvent
 from .game import DEFAULT_TOL, _best_response, improvement_gaps, require_tol
-from .instance import AllocationProfile, GameInstance, _philox, require_feasible, require_valid
+from .instance import AllocationProfile, GameInstance, _philox, require_feasible
 
 # Default step limit for standard BRD, per agent (convergence is asymptotic).
 STEP_LIMIT_FACTOR = 500
@@ -175,7 +175,6 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
     no gap above ``cfg.tol``, in finitely many steps; it has no default limit.
     """
     cfg = cfg or BrdConfig()
-    require_valid(g)
     require_feasible(g, w0)
     modified = cfg.mode == "modified"
     limit = cfg.max_steps

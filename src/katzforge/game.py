@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import WalkDecomposition, katz_solve, walk_decomposition
-from .instance import (
-    AllocationProfile,
-    GameInstance,
-    require_feasible,
-    require_valid,
-)
+from .instance import AllocationProfile, GameInstance, require_feasible
 
 DEFAULT_TOL = 1e-10
 # Relative tolerance for treating best-response scores as tied.
@@ -44,8 +39,6 @@ def v_map(g: GameInstance, x: np.ndarray) -> np.ndarray:
     if not np.all(x >= 0):  # NaN fails too
         raise ValueError("x must be nonnegative")
     cols, offsets = g.topology.neighbor_index
-    if np.any(offsets[1:] == offsets[:-1]):
-        raise ValueError("an agent has no underlying out-neighbors")
     best = np.maximum.reduceat(x[cols], offsets[:-1])
     return g.budget_array * (1.0 + best)
 
@@ -100,7 +93,6 @@ def equilibrium_centralities(g: GameInstance, tol: float = DEFAULT_TOL) -> Equil
     smallest-index argmax.  The result is checked: its residual
     max |v(c) - c| must be within ``tol``, else ArithmeticError.
     """
-    require_valid(g)
     require_tol(tol)
     cols, offsets = g.topology.neighbor_index
     starts = offsets[:-1]

@@ -112,8 +112,10 @@ def _is_index_type(t: type) -> bool:
 class GameInstance:
     """Underlying topology plus per-agent resource budgets.
 
-    Budgets must be positive; the standing bound B_i < 1 is checked by
-    ``validate_instance`` (and enforced at parse time), not at construction.
+    Construction enforces the game's standing rules, so an invalid game
+    cannot be built: every agent has at least one underlying out-neighbor,
+    and every budget lies strictly inside (0, 1), so the induced walk series
+    always converges.  Violations raise one ValueError that names them all.
     """
 
     topology: UnderlyingTopology
@@ -126,9 +128,18 @@ class GameInstance:
             raise ValueError(
                 f"got {len(self.budgets)} budgets for n={self.topology.n} agents"
             )
-        for i, b in enumerate(self.budgets):
-            if not np.isfinite(b) or b <= 0:
-                raise ValueError(f"budget of agent {i + 1} must be positive, got {b}")
+        _, offsets = self.topology.neighbor_index
+        violations = [
+            f"agent {i + 1}: empty out-neighborhood in underlying topology (nonempty-neighborhood rule)"
+            for i in np.flatnonzero(np.diff(offsets) == 0).tolist()
+        ]
+        violations += [
+            f"agent {i + 1}: budget {b!r} outside (0, 1) (budget-bound rule)"
+            for i, b in enumerate(self.budgets)
+            if not 0 < b < 1  # NaN fails too
+        ]
+        if violations:
+            raise ValueError("invalid instance: " + "; ".join(violations))
 
     @property
     def n(self) -> int:
@@ -169,33 +180,6 @@ class AllocationProfile:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-def validate_instance(g: GameInstance) -> ValidationReport:
-    """Report-style check of the standing requirements: every agent needs at
-    least one permitted out-edge, and budgets must sit strictly inside (0, 1)
-    so the induced walk series always converges."""
-    _, offsets = g.topology.neighbor_index
-    violations = [
-        f"agent {i + 1}: empty out-neighborhood in underlying topology (nonempty-neighborhood rule)"
-        for i in np.flatnonzero(np.diff(offsets) == 0).tolist()
-    ]
-    for i, b in enumerate(g.budgets):
-        if not (0 < b < 1):
-            violations.append(f"agent {i + 1}: budget {b!r} outside (0, 1) (budget-bound rule)")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-def require_valid(g: GameInstance) -> None:
-    report = validate_instance(g)
-    if not report.ok:
-        raise ValueError("invalid instance: " + "; ".join(report.violations))
 
 
 def is_feasible(g: GameInstance, w: AllocationProfile) -> bool:
@@ -300,11 +284,11 @@ def parse_instance(text: str) -> GameInstance:
     if name is not None and not isinstance(name, str):
         raise ParseError("must be a string", field="name")
 
-    g = GameInstance(UnderlyingTopology(n, frozenset(adj)), budgets, name=name)
-    report = validate_instance(g)
-    if not report.ok:
-        raise ParseError("invalid instance: " + "; ".join(report.violations))
-    return g
+    topology = UnderlyingTopology(n, frozenset(adj))
+    try:
+        return GameInstance(topology, budgets, name=name)
+    except ValueError as exc:  # the standing rules
+        raise ParseError(str(exc)) from exc
 
 
 def serialize_instance(g: GameInstance) -> str:

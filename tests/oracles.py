@@ -52,7 +52,7 @@ from katzforge.analysis import (
 )
 from katzforge.dynamics import CONVERGED, STEP_LIMIT, STEP_LIMIT_FACTOR, _record
 from katzforge.game import DEFAULT_TOL, SWITCH_MARGIN_ULPS, TIE_REL_TOL, improvement_gaps
-from katzforge.instance import BUDGET_EQ_TOL, require_feasible, require_valid
+from katzforge.instance import BUDGET_EQ_TOL, require_feasible
 
 
 def katz_series(w: AllocationProfile | np.ndarray, depth: int) -> np.ndarray:
@@ -122,7 +122,6 @@ def equilibrium_dense_oracle(g: GameInstance, tol: float = DEFAULT_TOL) -> Equil
     """Policy iteration with the neighbor argmax taken over an n x n score
     matrix masked by the dense support; ``equilibrium_centralities`` must
     match its c*, round count and residual bitwise."""
-    require_valid(g)
     support = support_mask(g)
     agents = np.arange(g.n)
     succ = support.argmax(axis=1)  # any start will do: first neighbor
@@ -207,7 +206,6 @@ def brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig) -> Brd
 
 
 def _standard_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig) -> BrdTrace:
-    require_valid(g)
     require_feasible(g, w0)
 
     w = w0
@@ -244,7 +242,6 @@ def _standard_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
 
 
 def _modified_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig) -> BrdTrace:
-    require_valid(g)
     require_feasible(g, w0)
 
     w = w0

@@ -1,7 +1,9 @@
 import itertools
+import re
 
 import networkx as nx
 import numpy as np
+import pytest
 
 from helpers import (
     circulant_profile,
@@ -438,6 +440,38 @@ class TestReportAndDot:
         dot = export_condensation_dot(cond)
         assert "alpha=non-uniform" in dot
         assert "gamma=non-uniform" in dot
+
+
+class TestSizes:
+    """Every structure check rejects a profile, budgets or centralities whose
+    size is not the instance's."""
+
+    CHECKS = (check_complete_topology, check_hierarchy, check_scc_uniformity, check_cycle_parity)
+
+    def test_profile_of_another_size_rejected(self):
+        g = complete_instance((0.5, 0.25))  # every check applies
+        for k in (1, 3):
+            w = AllocationProfile(np.full((k, k), 0.1))
+            message = re.escape(f"profile is {k}x{k} but instance has n=2")
+            for check in self.CHECKS:
+                with pytest.raises(ValueError, match=message):
+                    check(g, w)
+            with pytest.raises(ValueError, match=message):
+                run_structure_checks(g, w)
+
+    def test_centralities_of_another_shape_rejected(self, i3, i3_ne):
+        for c in ([1.0], [1.0, 0.5, 0.0], np.ones((2, 1))):
+            message = re.escape(f"centralities has shape {np.shape(c)}, expected (2,)")
+            for check in self.CHECKS:
+                with pytest.raises(ValueError, match=message):
+                    check(i3, i3_ne, centralities=c)
+            with pytest.raises(ValueError, match=message):
+                scc_condensation(i3_ne, i3.budgets, c)
+
+    def test_budgets_of_another_length_rejected(self, i3, i3_ne):
+        for budgets in ((0.5,), (0.5, 0.25, 0.1)):
+            with pytest.raises(ValueError, match=re.escape(f"budgets has shape ({len(budgets)},), expected (2,)")):
+                scc_condensation(i3_ne, budgets, katz_solve(i3_ne))
 
 
 class TestSupportCache:

@@ -393,6 +393,21 @@ class TestUsage:
         bad.write_text("{broken")
         assert main(["equilibrium", str(bad)]) == 1
 
+    @pytest.mark.parametrize("command", ["equilibrium", "run", "verify", "analyze"])
+    def test_invalid_instance_line(self, tmp_path, capsys, command):
+        inst = tmp_path / "g.json"
+        inst.write_text('{"n": 2, "edges": [[1, 2]], "budgets": [1.0, 0.5]}')
+        alloc = tmp_path / "w.json"
+        alloc.write_text(serialize_allocation(AllocationProfile.zeros(2)))
+        extra = {"run": ["-o", str(tmp_path / "t.csv")], "verify": [str(alloc)], "analyze": [str(alloc)]}
+        assert main([command, str(inst), *extra.get(command, [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid instance: agent 2: empty out-neighborhood in underlying topology "
+            "(nonempty-neighborhood rule); agent 1: budget 1.0 outside (0, 1) (budget-bound rule)\n"
+        )
+
 
 # Runs in a fresh interpreter from the working directory, so every artifact,
 # and the output naming it, is the same whatever the directory.

@@ -52,9 +52,8 @@ class TestVMap:
 
     def test_agent_without_neighbors_rejected(self):
         for adj in ([(0, 1)], [(1, 0)]):
-            g = GameInstance(topology_from_edges(2, adj), (0.5, 0.5))
-            with pytest.raises(ValueError, match="no underlying out-neighbors"):
-                v_map(g, np.zeros(2))
+            with pytest.raises(ValueError, match="nonempty-neighborhood"):
+                GameInstance(topology_from_edges(2, adj), (0.5, 0.5))
 
     def test_bitwise_equal_to_dense_mask_route(self):
         rng = np.random.default_rng(0)
@@ -157,9 +156,8 @@ class TestEquilibriumCentralities:
     def test_invalid_instance_rejected(self):
         from katzforge import GameInstance, topology_from_edges
 
-        g = GameInstance(topology_from_edges(1, [(0, 0)]), (1.5,))
         with pytest.raises(ValueError, match="budget-bound"):
-            equilibrium_centralities(g)
+            GameInstance(topology_from_edges(1, [(0, 0)]), (1.5,))
 
 
 def _assert_same_certificate(g: GameInstance) -> None:

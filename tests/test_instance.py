@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,34 +21,62 @@ from katzforge import (
     serialize_allocation,
     serialize_instance,
     topology_from_edges,
-    validate_instance,
 )
 from oracles import is_feasible_dense
 
 
+_EMPTY_ROW = "empty out-neighborhood in underlying topology (nonempty-neighborhood rule)"
+
+
 class TestValidation:
     def test_minimal_valid_instance(self, i1):
-        assert validate_instance(i1).ok
+        assert GameInstance(i1.topology, i1.budgets) == i1
 
     def test_empty_out_neighborhood_is_reported(self):
-        g = GameInstance(topology_from_edges(2, [(0, 1)]), (0.5, 0.25))
-        report = validate_instance(g)
-        assert not report.ok
-        assert len(report.violations) == 1
-        assert "agent 2" in report.violations[0]
-        assert "nonempty-neighborhood" in report.violations[0]
+        with pytest.raises(ValueError) as exc:
+            GameInstance(topology_from_edges(2, [(0, 1)]), (0.5, 0.25))
+        assert str(exc.value) == f"invalid instance: agent 2: {_EMPTY_ROW}"
 
     def test_budget_at_one_is_reported(self):
-        g = GameInstance(topology_from_edges(1, [(0, 0)]), (1.0,))
-        report = validate_instance(g)
-        assert not report.ok
-        assert "agent 1" in report.violations[0]
-        assert "budget-bound" in report.violations[0]
+        with pytest.raises(ValueError) as exc:
+            GameInstance(topology_from_edges(1, [(0, 0)]), (1.0,))
+        assert str(exc.value) == "invalid instance: agent 1: budget 1.0 outside (0, 1) (budget-bound rule)"
 
     def test_multiple_violations_all_named(self):
-        g = GameInstance(topology_from_edges(3, [(0, 1)]), (0.5, 1.5, 0.25))
-        report = validate_instance(g)
-        assert len(report.violations) == 3  # missing out-edges for agents 2,3; bad budget for agent 2
+        # missing out-edges for agents 2 and 3, then the bad budget of agent 2
+        with pytest.raises(ValueError) as exc:
+            GameInstance(topology_from_edges(3, [(0, 1)]), (0.5, 1.5, 0.25))
+        assert str(exc.value) == (
+            f"invalid instance: agent 2: {_EMPTY_ROW}; agent 3: {_EMPTY_ROW}; "
+            "agent 2: budget 1.5 outside (0, 1) (budget-bound rule)"
+        )
+
+    def test_construction_matches_independent_rule_check(self):
+        pool = (-0.5, 0.0, 0.3, 0.999, 1.0, 1.5, math.nan, math.inf, -math.inf)
+        outcomes = {True: 0, False: 0}
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 9))
+            keep = rng.random((n, n)) < rng.uniform(0.0, 0.7)
+            edges = {(i, j) for i, j in zip(*np.nonzero(keep))}
+            values = pool if rng.random() < 0.5 else (0.3, 0.999)
+            budgets = tuple(values[k] for k in rng.integers(len(values), size=n))
+            expected = [f"agent {i + 1}: {_EMPTY_ROW}" for i in range(n) if not any(e[0] == i for e in edges)]
+            expected += [
+                f"agent {i + 1}: budget {b!r} outside (0, 1) (budget-bound rule)"
+                for i, b in enumerate(budgets)
+                if not (math.isfinite(b) and b > 0 and b < 1)
+            ]
+            valid = not expected
+            outcomes[valid] += 1
+            if valid:
+                g = GameInstance(topology_from_edges(n, edges), budgets)
+                assert g.budgets == budgets
+            else:
+                with pytest.raises(ValueError) as exc:
+                    GameInstance(topology_from_edges(n, edges), budgets)
+                assert str(exc.value) == "invalid instance: " + "; ".join(expected)
+        assert min(outcomes.values()) >= 50
 
 
 def _random_digraph(rng: np.random.Generator) -> tuple[int, set[tuple[int, int]]]:
@@ -348,12 +377,14 @@ class TestGenerator:
     def test_empty_row_repair_on_sparse_draws(self):
         for seed in range(30):
             g = generate_random_instance(6, 0.05, False, (0.1, 0.9), seed=seed)
-            assert validate_instance(g).ok
+            assert all(g.topology.out_neighbors(i) for i in range(g.n))
+            assert all(0 < b < 1 for b in g.budgets)
 
     def test_generated_instances_always_valid(self):
         for seed in range(20):
             g = generate_random_instance(4, 0.5, True, (0.3, 0.7), seed=seed)
-            assert validate_instance(g).ok
+            assert all(g.topology.out_neighbors(i) for i in range(g.n))
+            assert all(0 < b < 1 for b in g.budgets)
 
     def test_bad_budget_range(self):
         with pytest.raises(ValueError, match="budget_range"):
