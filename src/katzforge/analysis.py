@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .centrality import katz_solve
-from .game import DEFAULT_TOL
+from .game import DEFAULT_TOL, require_tol
 from .instance import BUDGET_EQ_TOL, AllocationProfile, GameInstance
 
 PASS = "pass"
@@ -193,6 +193,7 @@ def scc_condensation(
     centralities are supplied, components are annotated with their common
     values (or flagged non-uniform).  Members come back sorted and components
     ordered by smallest member, so the numbering is deterministic."""
+    require_tol(centrality_tol)
     _require_sizes(w.n, w, budgets, centralities)
     support = _support(w)
     # component edges and sinks in one pass over the support's edges
@@ -269,6 +270,7 @@ def check_complete_topology(
     c_i = B_i / (1 - B_M), exhaust every budget, and aim every positive edge
     at a maximum-budget agent."""
     name = "complete-closed-form"
+    require_tol(tol)
     _require_sizes(g.n, w, centralities=centralities)
     if not g.topology.is_complete():
         return CheckResult(name, INAPPLICABLE, details={"reason": "topology not complete"})
@@ -306,6 +308,7 @@ def check_hierarchy(
     """With self-loops available everywhere, Nash agents only point at
     neighbors whose centrality is at least their own."""
     name = "hierarchy"
+    require_tol(tol)
     _require_sizes(g.n, w, centralities=centralities)
     if not g.topology.has_all_self_loops():
         return CheckResult(name, INAPPLICABLE, details={"reason": "not all agents have self-loops"})
@@ -328,6 +331,7 @@ def check_scc_uniformity(
     """Members of one SCC of a Nash network share budget and centrality; an
     SCC of size >= 2 also forces its common centrality onto any SCC it points at."""
     name = "scc-uniformity"
+    require_tol(tol)
     _require_sizes(g.n, w, centralities=centralities)
     if not g.topology.has_all_self_loops():
         return CheckResult(name, INAPPLICABLE, details={"reason": "not all agents have self-loops"})
@@ -456,6 +460,7 @@ def check_cycle_parity(
     A failing class gives one witness with its rule, its members and a simple
     cycle that starts with the class's worst 2-path."""
     name = "cycle-parity"
+    require_tol(tol)
     _require_sizes(g.n, w, centralities=centralities)
     if not g.topology.is_symmetric():
         return CheckResult(name, INAPPLICABLE, details={"reason": "underlying topology not symmetric"})
@@ -497,6 +502,7 @@ def run_structure_checks(
     """All applicable checks on one profile, sharing a single centrality solve
     and, through the support cache, one support digraph with its strongly
     connected components."""
+    require_tol(tol)
     _require_sizes(g.n, w)
     c = katz_solve(w)
     checks = (

@@ -1,14 +1,16 @@
 """Katz centralities and the walk-decomposition quantities behind best responses.
 
-Centrality vectors are plain float ndarrays of length n.  Every solve is a
-residual-checked dense LU with partial pivoting; I - A is strictly row
+Centrality vectors are plain float ndarrays of length n.  Every dense solve
+is a residual-checked LU with partial pivoting; I - A is strictly row
 diagonally dominant for any substochastic A, so the systems are well
 conditioned at desk scale.  ``katz_solve`` factors I - A once per call and
 ``walk_decomposition`` factors the deleted-graph matrix once.  ``Resolvent``
-keeps M = (I - A)^-1 across single-row changes by Sherman-Morrison updates
-and reads any agent's walk decomposition off M in O(n); best-response
-dynamics use it to pick targets, while every recorded centrality still comes
-from ``katz_solve``.
+keeps M = (I - A)^-1 across single-row changes by O(n^2) Sherman-Morrison
+updates, reads any agent's walk decomposition off M in O(n), and returns the
+new profile's centralities from each update: M 1 - 1 after one step of
+iterative refinement, once their residual passes the bound ``katz_solve``
+checks, and ``katz_solve``'s otherwise.  Best-response dynamics take every
+step's targets and centralities from it.
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import AllocationProfile, FeasibilityError, GameInstance, require_feasible
+from .instance import (
+    AllocationProfile,
+    FeasibilityError,
+    GameInstance,
+    _is_index_type,
+    require_feasible,
+)
 
-# Residual bound for the dense solves, scaled by n at the check site.
+# Residual bound for centralities and dense solves, scaled by n at the check site.
 SOLVE_RESIDUAL_TOL = 1e-12
-# Agreement bound between independent computation routes.
-CROSS_CHECK_TOL = 1e-10
 
 
 def _weights(w: AllocationProfile | np.ndarray) -> np.ndarray:
@@ -108,6 +114,16 @@ def _decomposition(g: GameInstance, i: int, p: np.ndarray, q: np.ndarray) -> Wal
     return WalkDecomposition(agent=i, p=p, q=q, d=d, f=f, neighbors=nbrs, budget=b_i)
 
 
+def _require_agent(n: int, i: int) -> int:
+    """``i`` as an int, or ValueError unless it is an integer (not a bool)
+    in range(n); the message names the agent 1-based."""
+    if not _is_index_type(type(i)):
+        raise ValueError(f"agent index must be an integer, got {i!r}")
+    if not 0 <= i < n:
+        raise ValueError(f"agent {i + 1} out of range for n={n}")
+    return int(i)
+
+
 def walk_decomposition(g: GameInstance, w: AllocationProfile, i: int) -> WalkDecomposition:
     """Compute p, q, d, f for focal agent ``i`` via one solve on the deleted
     graph, with p and q as its two right-hand sides.
@@ -115,6 +131,7 @@ def walk_decomposition(g: GameInstance, w: AllocationProfile, i: int) -> WalkDec
     Row i and column i of A(w) are zeroed before solving, so the result is
     independent of agent i's own row by construction.
     """
+    i = _require_agent(g.n, i)
     require_feasible(g, w)
     a = w.weights
     n = a.shape[0]
@@ -130,26 +147,57 @@ def walk_decomposition(g: GameInstance, w: AllocationProfile, i: int) -> WalkDec
     return _decomposition(g, i, p, q)
 
 
+def _on_grid(x: np.ndarray, e: int) -> np.ndarray:
+    """``x`` rounded to multiples of 2^(e - 26): at most 26 significant bits
+    where |x| < 2^e, so that such values times 26-bit weights are exact."""
+    scale = np.ldexp(1.0, 26 - e)
+    y = x * scale
+    np.round(y, out=y)
+    y /= scale
+    return y
+
+
 class Resolvent:
     """M = (I - A)^-1 for a profile that changes one row at a time.
 
-    Built by one residual-checked dense solve; ``replace_row`` applies the
-    Sherman-Morrison update for a changed row and cross-checks the result
-    against freshly solved centralities, refactoring from scratch when the
-    check or the update's denominator fails.  ``rebuilds`` counts those
-    refactorizations.
+    Built by one residual-checked dense solve.  ``replace_row`` applies the
+    Sherman-Morrison update for a changed row and returns the new profile's
+    Katz centralities: c = M 1 - 1 after one step of iterative refinement,
+    accepted only when the update's denominator is positive and
+    max |c - A c - A 1| is within ``SOLVE_RESIDUAL_TOL * n``, the bound
+    ``katz_solve`` checks.  Otherwise c comes from ``katz_solve`` and M is
+    refactored from scratch; ``rebuilds`` counts those refactorizations.
+
+    Near budgets of 1, M 1 - 1 is off by up to 1 / (1 - B_M) times the
+    rounding of M, and so is a refinement whose residual is rounded at the
+    scale of c: at B = 0.999 both reach the size of an improvement-gap
+    tolerance.  So ``_residual`` rounds only terms of order 2^-26 max c and
+    A 1.  A is kept only as A_hi + A_lo, exactly, with A_hi on the grid of
+    2^-26, and A_hi times c rounded to 26 bits is a sum of products on one
+    grid, which double precision holds exactly in any summation order.
     """
 
     def __init__(self, w: AllocationProfile | np.ndarray):
-        self._a = np.array(_weights(w))
+        a = np.array(_weights(w))
         self.rebuilds = 0
-        self._build()
+        self._build(a)
+        self._a_1 = a.sum(axis=1)
+        self._a_hi = _on_grid(a, 0)  # entries below 1
+        a -= self._a_hi
+        self._a_lo = a
 
-    def _build(self) -> None:
-        _require_substochastic(self._a)
-        n = self._a.shape[0]
-        self._m = _solve_checked(np.eye(n) - self._a, np.eye(n))
+    def _build(self, a: np.ndarray) -> None:
+        _require_substochastic(a)
+        n = a.shape[0]
+        self._m = _solve_checked(np.eye(n) - a, np.eye(n))
         self._s = self._m.sum(axis=1)
+
+    def _residual(self, c: np.ndarray) -> np.ndarray:
+        """(I - A) c - A 1, with A_hi c_hi exact (see the class docstring)."""
+        e = int(np.frexp(max(1.0, float(np.max(np.abs(c)))))[1])  # |c| < 2^e
+        c_hi = _on_grid(c, e)
+        small = self._a_hi @ (c - c_hi) + self._a_lo @ c + self._a_1
+        return (c - self._a_hi @ c_hi) - small
 
     def decomposition(self, g: GameInstance, i: int) -> WalkDecomposition:
         """The walk decomposition of focal agent ``i`` in O(n).
@@ -163,20 +211,25 @@ class Resolvent:
         p = self._s - m_i * (self._s[i] / m_i[i]) - 1.0
         return _decomposition(g, i, p, q)
 
-    def replace_row(self, i: int, row: np.ndarray, c: np.ndarray) -> None:
-        """Set row ``i`` of A to ``row``; ``c`` are the Katz centralities of
-        the new profile, solved independently, against which M 1 - 1 is
-        checked to ``CROSS_CHECK_TOL`` relative to max(1, max c)."""
-        delta = row - self._a[i]
-        self._a[i] = row
+    def replace_row(self, i: int, row: np.ndarray) -> np.ndarray:
+        """Set row ``i`` of A to ``row`` and return the Katz centralities of
+        the new profile, in O(n^2) unless the update fails its checks."""
+        delta = row - (self._a_hi[i] + self._a_lo[i])
+        self._a_hi[i] = _on_grid(row, 0)
+        self._a_lo[i] = row - self._a_hi[i]
+        self._a_1[i] = row.sum()
         m_i = self._m[:, i]
         delta_m = delta @ self._m
         denom = 1.0 - delta_m[i]
         if denom > 0:
             self._m += np.multiply.outer(m_i / denom, delta_m)
             self._s = self._m.sum(axis=1)
-            drift = np.max(np.abs(self._s - 1.0 - c))
-            if drift <= CROSS_CHECK_TOL * max(1.0, float(np.max(c))):
-                return
+            c = self._s - 1.0
+            c -= self._m @ self._residual(c)  # one step of iterative refinement
+            residual = np.max(np.abs(self._residual(c)))
+            if residual <= SOLVE_RESIDUAL_TOL * len(c):  # NaN fails too
+                return c
         self.rebuilds += 1
-        self._build()
+        a = self._a_hi + self._a_lo
+        self._build(a)
+        return katz_solve(a)

@@ -9,10 +9,12 @@ may keep moving between tied best responses while the centralities are
 already at the fixed point.
 
 A move is written in place into one weight matrix, and a best-response step
-makes one dense solve: ``katz_solve`` for the recorded centralities and gaps.
-The mover's target is read off a ``Resolvent`` that is built at the first
-best-response step and updated by one rank-one change per move; only the
-target comes from it.  The terminal ``AllocationProfile`` is built once.
+makes no dense solve.  A run solves twice: ``katz_solve`` at step 0, and the
+build of a ``Resolvent`` at the first best-response step.  The resolvent is
+updated by one O(n^2) rank-one change per move; the mover's target is read
+off it, and the update returns the recorded centralities with a checked
+residual, or ``katz_solve``'s when the check fails.  The terminal
+``AllocationProfile`` is built once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .centrality import Resolvent
-from .game import DEFAULT_TOL, _best_response, improvement_gaps, require_tol
+from .game import DEFAULT_TOL, _best_response, _gaps, improvement_gaps, require_tol
 from .instance import AllocationProfile, GameInstance, _philox, require_feasible
 
 # Default step limit for standard BRD, per agent (convergence is asymptotic).
@@ -209,8 +211,8 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
             row = _best_response(resolvent.decomposition(g, i)).canonical
             a[i] = row
             c_prev = c
-            c, gaps = improvement_gaps(g, a)
-            resolvent.replace_row(i, row, c)
+            c = resolvent.replace_row(i, row)
+            gaps = _gaps(g, c)
             residual = float(np.max(np.abs(gaps)))
             if modified and not c[i] > c_prev[i]:
                 raise ArithmeticError(

@@ -53,7 +53,12 @@ def improvement_gaps(
     caller's to check.
     """
     c = katz_solve(w)
-    return c, v_map(g, c) - c
+    return c, _gaps(g, c)
+
+
+def _gaps(g: GameInstance, c: np.ndarray) -> np.ndarray:
+    """The improvement gaps v(c) - c of centralities ``c``."""
+    return v_map(g, c) - c
 
 
 @dataclass(frozen=True)

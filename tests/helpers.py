@@ -14,6 +14,11 @@ from katzforge import (
     topology_from_edges,
 )
 
+# Agreement bound between independent computation routes, relative to
+# max(1, max |value|): the dense and resolvent routes, or run_brd and the
+# brd_reference oracle.
+CROSS_CHECK_TOL = 1e-10
+
 
 def with_row(w: AllocationProfile, i: int, row) -> AllocationProfile:
     """``w`` with agent i's row replaced by ``row``."""

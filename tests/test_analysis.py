@@ -474,6 +474,25 @@ class TestSizes:
                 scc_condensation(i3_ne, budgets, katz_solve(i3_ne))
 
 
+class TestTolerance:
+    """Every structure check that takes a tolerance rejects one that is not
+    finite and positive: with NaN every "spread > tol" test is false, and
+    the checks would pass anything."""
+
+    CHECKS = TestSizes.CHECKS + (run_structure_checks,)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        g = complete_instance((0.5,) * 6)
+        w = circulant_profile(g, 3, 0)
+        message = re.escape(f"tol must be finite and positive, got {tol}")
+        for check in self.CHECKS:
+            with pytest.raises(ValueError, match=message):
+                check(g, w, tol)
+        with pytest.raises(ValueError, match=message):
+            scc_condensation(w, g.budgets, katz_solve(w), centrality_tol=tol)
+
+
 class TestSupportCache:
     """The checks of one profile share one support, and no profile is ever
     served another profile's support."""

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import random_feasible_profile, random_game, with_row
+from helpers import CROSS_CHECK_TOL, random_feasible_profile, random_game, with_row
 from katzforge import (
     AllocationProfile,
     FeasibilityError,
     katz_solve,
     walk_decomposition,
 )
-from katzforge.centrality import CROSS_CHECK_TOL, Resolvent
+from katzforge.centrality import SOLVE_RESIDUAL_TOL, Resolvent
 from oracles import (
     brute_walk_sums,
     fractional_linear_centrality,
@@ -249,7 +249,10 @@ class TestResolvent:
                 i = int(rng.integers(g.n))
                 row = _random_row(g, i, rng)
                 w = with_row(w, i, row)
-                res.replace_row(i, row, katz_solve(w))
+                c, want = res.replace_row(i, row), katz_solve(w)
+                assert np.max(np.abs(c - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
+                a = w.weights
+                assert np.max(np.abs(c - a @ c - a @ np.ones(g.n))) <= SOLVE_RESIDUAL_TOL * g.n
             assert res.rebuilds == 0
             for i in range(g.n):
                 got, want = res.decomposition(g, i), walk_decomposition(g, w, i)
@@ -263,19 +266,40 @@ class TestResolvent:
     def test_corrupted_inverse_is_rebuilt(self, i3):
         w = AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]]))
         res = Resolvent(w)
-        res._m *= 1.0 + 1e-6
+        # refinement leaves a 1e-6 relative error; the denominator stays positive
+        # and the residual check fails
+        res._m *= 1.0 + 1e-3
         row = np.array([0.0, 0.5])
         w = with_row(w, 0, row)
-        res.replace_row(0, row, katz_solve(w))
+        np.testing.assert_array_equal(res.replace_row(0, row), katz_solve(w))
         assert res.rebuilds == 1
         np.testing.assert_allclose(res._m, np.linalg.inv(np.eye(2) - w.weights), rtol=1e-14)
         # an update whose denominator is not positive rebuilds too
         res._m[:] = 0.0
         res._m[0, 0] = 10.0  # 1 - delta M e_1 = 1 - 0.4 * 10 < 0
         w = with_row(w, 0, np.array([0.4, 0.0]))
-        res.replace_row(0, np.array([0.4, 0.0]), katz_solve(w))
+        np.testing.assert_array_equal(res.replace_row(0, np.array([0.4, 0.0])), katz_solve(w))
         assert res.rebuilds == 2
         np.testing.assert_allclose(res._m, np.linalg.inv(np.eye(2) - w.weights), rtol=1e-14)
+        # the rebuilt inverse serves the next update without a rebuild
+        w = with_row(w, 1, np.array([0.0, 0.25]))
+        c = res.replace_row(1, np.array([0.0, 0.25]))
+        assert res.rebuilds == 2
+        assert np.max(np.abs(c - katz_solve(w))) <= CROSS_CHECK_TOL
+
+    def test_refinement_absorbs_small_drift(self):
+        # a 1e-6 relative error in M leaves about 1e-12 after one refinement step
+        for seed in range(10):
+            g = random_game(seed, n_max=20)
+            w = random_feasible_profile(g, seed + 40)
+            res = Resolvent(w)
+            res._m *= 1.0 + 1e-6
+            i = seed % g.n
+            row = _random_row(g, i, np.random.default_rng(seed))
+            w = with_row(w, i, row)
+            c, want = res.replace_row(i, row), katz_solve(w)
+            assert res.rebuilds == 0
+            assert np.max(np.abs(c - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
 
     def test_infeasible_profile_rejected(self):
         with pytest.raises(FeasibilityError, match="row 1"):

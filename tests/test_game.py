@@ -15,6 +15,7 @@ from katzforge import (
     katz_solve,
     topology_from_edges,
     v_map,
+    walk_decomposition,
 )
 from oracles import (
     best_response_oracle,
@@ -226,6 +227,29 @@ class TestBestResponse:
                     trial[j] = g.budgets[i]
                     c = katz_solve(with_row(w, i, trial))
                     assert c[i] == pytest.approx(br.achieved_value, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "i, message",
+        [
+            (2, "agent 3 out of range for n=2"),
+            (-1, "agent 0 out of range for n=2"),
+            (True, "agent index must be an integer, got True"),
+        ],
+        ids=["2", "-1", "True"],
+    )
+    def test_bad_agent_index_rejected(self, i3, i, message):
+        w = AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            best_response(i3, i, w)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            walk_decomposition(i3, w, i)
+
+    def test_numpy_integer_agent_accepted(self, i3):
+        w = AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]]))
+        br, want = best_response(i3, np.int64(1), w), best_response(i3, 1, w)
+        assert type(br.agent) is int
+        assert (br.agent, br.argmax_set, br.achieved_value) == (want.agent, want.argmax_set, want.achieved_value)
+        np.testing.assert_array_equal(br.canonical, want.canonical)
 
 
 class TestImprovementGaps:
