@@ -15,7 +15,8 @@ must match exactly.  ``v_map_dense`` and ``equilibrium_dense_oracle`` keep
 the dense-mask forms of the v map and of policy iteration, which the CSR
 routes must match bitwise, and ``brd_reference`` keeps the dense two-loop
 form of the dynamics (one loop per mode) that ``run_brd`` must reproduce
-bitwise.
+bitwise.  ``ScheduleReference`` keeps the per-kind branches of the agent
+scheduler, whose picks ``Scheduler.start(n)`` must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -50,9 +51,17 @@ from katzforge.analysis import (
     _centralities,
     _closing_two_paths,
 )
-from katzforge.dynamics import CONVERGED, STEP_LIMIT, STEP_LIMIT_FACTOR, _record
+from katzforge.dynamics import (
+    CONVERGED,
+    ROUND_ROBIN,
+    STEP_LIMIT,
+    STEP_LIMIT_FACTOR,
+    UNIFORM_RANDOM,
+    Scheduler,
+    _record,
+)
 from katzforge.game import DEFAULT_TOL, SWITCH_MARGIN_ULPS, TIE_REL_TOL, improvement_gaps
-from katzforge.instance import BUDGET_EQ_TOL, require_feasible
+from katzforge.instance import BUDGET_EQ_TOL, _philox, require_feasible
 
 
 def katz_series(w: AllocationProfile | np.ndarray, depth: int) -> np.ndarray:
@@ -196,6 +205,47 @@ def unilateral_swap_check(
             f"{i + 1}'s centrality by {abs(c_after[i] - c_before[i])}"
         )
     return is_nash(g, swapped, tol).is_nash
+
+
+class ScheduleReference:
+    """The scheduler with one branch per kind: a stateful per-run selector.
+    ``pick(candidates)`` restricts the draw to the given agents; round-robin
+    scans forward, explicit sequences skip non-candidates, uniform-random
+    draws uniformly among them."""
+
+    def __init__(self, scheduler: Scheduler, n: int):
+        self._kind = scheduler.kind
+        self._n = n
+        self._cursor = 0
+        self._sequence = scheduler.sequence
+        if self._kind == UNIFORM_RANDOM:
+            self._rng = _philox(scheduler.seed)
+        if self._sequence is not None:
+            for i in self._sequence:
+                if not 0 <= i < n:
+                    raise ValueError(f"scheduled agent {i} out of range for n={n}")
+
+    def pick(self, candidates=None) -> int | None:
+        if self._kind == ROUND_ROBIN:
+            allowed = None if candidates is None else set(candidates)
+            for _ in range(self._n):
+                i = self._cursor % self._n
+                self._cursor += 1
+                if allowed is None or i in allowed:
+                    return i
+            return None
+        if self._kind == UNIFORM_RANDOM:
+            pool = list(range(self._n)) if candidates is None else sorted(candidates)
+            if not pool:
+                return None
+            return pool[int(self._rng.integers(len(pool)))]
+        allowed = None if candidates is None else set(candidates)
+        while self._cursor < len(self._sequence):
+            i = self._sequence[self._cursor]
+            self._cursor += 1
+            if allowed is None or i in allowed:
+                return i
+        return None
 
 
 def brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig) -> BrdTrace:

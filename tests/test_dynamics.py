@@ -27,7 +27,7 @@ from katzforge import (
     write_trace_csv,
 )
 from katzforge.centrality import Resolvent
-from oracles import brd_reference
+from oracles import ScheduleReference, brd_reference
 
 REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
 REPORTED_C_STAR = np.array([1.15] * 3 + [4.77] * 3 + [3.98] * 3 + [0.98])
@@ -68,6 +68,29 @@ class TestScheduler:
         # run_brd checks the schedule before the first step, even at a Nash start
         with pytest.raises(ValueError, match="out of range"):
             run_brd(i3, i3_ne, BrdConfig(scheduler=Scheduler.explicit([5])))
+
+    def test_picks_match_reference(self):
+        # n = 1..12 x three kinds x 40 schedules; each pick gets no candidate
+        # set, an empty one, a random subset or a reversed list of one
+        for n in range(1, 13):
+            for seed in range(40):
+                rng = np.random.default_rng(1000 * n + seed)
+                for sched in (
+                    Scheduler.round_robin(),
+                    Scheduler.uniform_random(seed),
+                    Scheduler.explicit(rng.integers(n, size=int(rng.integers(1, 4 * n + 1))).tolist()),
+                ):
+                    got, want = sched.start(n), ScheduleReference(sched, n)
+                    for _ in range(4 * n + 2):
+                        kind = int(rng.integers(4))
+                        if kind == 0:
+                            candidates = None
+                        elif kind == 1:
+                            candidates = []
+                        else:
+                            members = np.flatnonzero(rng.random(n) < rng.random()).tolist()
+                            candidates = set(members) if kind == 2 else members[::-1]
+                        assert got.pick(candidates) == want.pick(candidates)
 
 
 class TestBrdConfig:
