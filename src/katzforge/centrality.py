@@ -3,14 +3,16 @@
 Centrality vectors are plain float ndarrays of length n.  Every dense solve
 is a residual-checked LU with partial pivoting; I - A is strictly row
 diagonally dominant for any substochastic A, so the systems are well
-conditioned at desk scale.  ``katz_solve`` factors I - A once per call and
-``walk_decomposition`` factors the deleted-graph matrix once.  ``Resolvent``
-keeps M = (I - A)^-1 across single-row changes by O(n^2) Sherman-Morrison
-updates, reads any agent's walk decomposition off M in O(n), and returns the
-new profile's centralities from each update: M 1 - 1 after one step of
-iterative refinement, once their residual passes the bound ``katz_solve``
-checks, and ``katz_solve``'s otherwise.  Best-response dynamics take every
-step's targets and centralities from it.
+conditioned at desk scale.  ``katz_solve`` factors I - A once per call.
+One formula reads an agent's walk decomposition off column i of
+M = (I - A)^-1 and the row sums of M.  ``walk_decomposition`` gets both from
+one solve with agent i's row zeroed.  ``Resolvent`` keeps M across
+single-row changes by O(n^2) Sherman-Morrison updates, reads any agent's
+decomposition off it in O(n), and returns the new profile's centralities
+from each update: M 1 - 1 after one step of iterative refinement, once
+their residual passes the bound ``katz_solve`` checks, and ``katz_solve``'s
+otherwise.  Best-response dynamics take every step's targets and
+centralities from it.
 """
 
 from __future__ import annotations
@@ -88,10 +90,17 @@ class WalkDecomposition:
     budget: float
 
 
-def _decomposition(g: GameInstance, i: int, p: np.ndarray, q: np.ndarray) -> WalkDecomposition:
-    """Assemble the decomposition of focal agent ``i`` from p and q (entries
-    at i are overwritten by the conventions), scoring i's underlying
-    out-neighbors."""
+def _decomposition(g: GameInstance, i: int, m_i: np.ndarray, s: np.ndarray) -> WalkDecomposition:
+    """The decomposition of focal agent ``i`` from column i of a resolvent
+    (I - A)^-1 and its row sums ``s``, scoring i's underlying out-neighbors.
+
+    Walks from j to i factor as a first visit times returns to i, so
+    q = m_i / m_ii.  Deleting i leaves the Schur complement, whose row sums
+    give p + 1 = s - m_i s_i / m_ii.  Entries at i are then set by the
+    conventions.
+    """
+    q = m_i / m_i[i]
+    p = s - m_i * (s[i] / m_i[i]) - 1.0
     d = p + q + 1.0
     q[i] = 1.0
     d[i] = 1.0
@@ -125,26 +134,19 @@ def _require_agent(n: int, i: int) -> int:
 
 
 def walk_decomposition(g: GameInstance, w: AllocationProfile, i: int) -> WalkDecomposition:
-    """Compute p, q, d, f for focal agent ``i`` via one solve on the deleted
-    graph, with p and q as its two right-hand sides.
+    """Compute p, q, d, f for focal agent ``i`` by one solve with two
+    right-hand sides, e_i and 1: column i of (I - A)^-1 and its row sums.
 
-    Row i and column i of A(w) are zeroed before solving, so the result is
-    independent of agent i's own row by construction.
+    A is A(w) with row i zeroed, so the result is independent of agent i's
+    own row by construction.
     """
     i = _require_agent(g.n, i)
     require_feasible(g, w)
-    a = w.weights
-    n = a.shape[0]
-
-    a0 = np.array(a)
-    a0[i, :] = 0.0
-    a0[:, i] = 0.0
-    col_i = np.array(a[:, i])
-    col_i[i] = 0.0
-
-    x = _solve_checked(np.eye(n) - a0, np.column_stack((a0 @ np.ones(n), col_i)))
-    p, q = np.array(x.T)
-    return _decomposition(g, i, p, q)
+    n = g.n
+    a = np.array(w.weights)
+    a[i] = 0.0
+    x = _solve_checked(np.eye(n) - a, np.column_stack((np.arange(n) == i, np.ones(n))))
+    return _decomposition(g, i, x[:, 0], x[:, 1])
 
 
 def _on_grid(x: np.ndarray, e: int) -> np.ndarray:
@@ -200,16 +202,8 @@ class Resolvent:
         return (c - self._a_hi @ c_hi) - small
 
     def decomposition(self, g: GameInstance, i: int) -> WalkDecomposition:
-        """The walk decomposition of focal agent ``i`` in O(n).
-
-        Walks from j to i factor as a first visit times returns to i, so
-        q = M[:, i] / M_ii.  Deleting i leaves the Schur complement, whose
-        row sums give p + 1 = s - M[:, i] s_i / M_ii with s = M 1.
-        """
-        m_i = self._m[:, i]
-        q = m_i / m_i[i]
-        p = self._s - m_i * (self._s[i] / m_i[i]) - 1.0
-        return _decomposition(g, i, p, q)
+        """The walk decomposition of focal agent ``i`` in O(n)."""
+        return _decomposition(g, i, self._m[:, i], self._s)
 
     def replace_row(self, i: int, row: np.ndarray) -> np.ndarray:
         """Set row ``i`` of A to ``row`` and return the Katz centralities of

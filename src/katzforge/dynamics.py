@@ -19,6 +19,7 @@ residual, or ``katz_solve``'s when the check fails.  The terminal
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -74,42 +75,32 @@ class Scheduler:
 
 class _ScheduleState:
     """Stateful per-run selector.  ``pick(candidates)`` restricts the draw to
-    the given agents; round-robin scans forward, explicit sequences skip
-    non-candidates, uniform-random draws uniformly among them."""
+    the given agents.  Round-robin and explicit schedules scan one agent order
+    forward past non-candidates: the endless cycle 0, 1, ..., n-1, at most one
+    lap per pick, or the explicit sequence, once.  Uniform-random draws
+    uniformly among the candidates."""
 
     def __init__(self, scheduler: Scheduler, n: int):
-        self._kind = scheduler.kind
         self._n = n
-        self._cursor = 0
-        self._sequence = scheduler.sequence
-        if self._kind == UNIFORM_RANDOM:
+        self._order = None  # uniform-random draws from the candidates instead
+        if scheduler.kind == UNIFORM_RANDOM:
             self._rng = _philox(scheduler.seed)
-        if self._sequence is not None:
-            for i in self._sequence:
+        elif scheduler.kind == ROUND_ROBIN:
+            self._order, self._lap = itertools.cycle(range(n)), n
+        else:
+            for i in scheduler.sequence:
                 if not 0 <= i < n:
                     raise ValueError(f"scheduled agent {i} out of range for n={n}")
+            self._order, self._lap = iter(scheduler.sequence), len(scheduler.sequence)
 
     def pick(self, candidates: Sequence[int] | None = None) -> int | None:
-        if self._kind == ROUND_ROBIN:
-            allowed = None if candidates is None else set(candidates)
-            for _ in range(self._n):
-                i = self._cursor % self._n
-                self._cursor += 1
-                if allowed is None or i in allowed:
-                    return i
-            return None
-        if self._kind == UNIFORM_RANDOM:
+        if self._order is None:
             pool = list(range(self._n)) if candidates is None else sorted(candidates)
             if not pool:
                 return None
             return pool[int(self._rng.integers(len(pool)))]
-        allowed = None if candidates is None else set(candidates)
-        while self._cursor < len(self._sequence):
-            i = self._sequence[self._cursor]
-            self._cursor += 1
-            if allowed is None or i in allowed:
-                return i
-        return None
+        allowed = range(self._n) if candidates is None else set(candidates)
+        return next((i for i in itertools.islice(self._order, self._lap) if i in allowed), None)
 
 
 @dataclass(frozen=True)

@@ -107,7 +107,7 @@ def equilibrium_centralities(g: GameInstance, tol: float = DEFAULT_TOL) -> Equil
     while True:
         policy = np.zeros((g.n, g.n))
         policy[agents, succ] = g.budget_array
-        c, gaps = improvement_gaps(g, policy)
+        c = katz_solve(policy)
         rounds += 1
         scores = c[cols]
         top = np.maximum.reduceat(scores, starts)
@@ -120,7 +120,7 @@ def equilibrium_centralities(g: GameInstance, tol: float = DEFAULT_TOL) -> Equil
             break
         succ = np.where(switch, best, succ)
 
-    residual = float(np.max(np.abs(gaps)))
+    residual = float(np.max(np.abs(_gaps(g, c))))
     if residual > tol:
         raise ArithmeticError(f"equilibrium residual {residual} exceeds tol {tol}")
     return EquilibriumCertificate(

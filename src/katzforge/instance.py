@@ -1,7 +1,8 @@
 """Game instances: underlying topology, budgets, allocation profiles, and file I/O.
 
-Agent indices are 1-based in documents and CLI output, 0-based everywhere in
-the Python API; the parser/serializer is the only place that converts.
+Agent indices are 1-based in documents, in the CSV, JSON and DOT writers'
+output, and in the structure checks' witnesses; everywhere else in the
+Python API they are 0-based.
 """
 
 from __future__ import annotations

@@ -14,9 +14,10 @@ and the witness back-path by ``nx.shortest_path``), which the CSR routes
 must match exactly.  ``v_map_dense`` and ``equilibrium_dense_oracle`` keep
 the dense-mask forms of the v map and of policy iteration, which the CSR
 routes must match bitwise, and ``brd_reference`` keeps the dense two-loop
-form of the dynamics (one loop per mode) that ``run_brd`` must reproduce
-bitwise.  ``ScheduleReference`` keeps the per-kind branches of the agent
-scheduler, whose picks ``Scheduler.start(n)`` must reproduce exactly.
+form of the dynamics (one loop per mode), whose agents, rows and terminal
+weights ``run_brd`` must reproduce bitwise.  ``ScheduleReference`` keeps
+the per-kind branches of the agent scheduler, whose picks
+``Scheduler.start(n)`` must reproduce exactly.
 """
 
 from __future__ import annotations

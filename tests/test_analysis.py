@@ -150,6 +150,14 @@ class TestCompleteTopologyCheck:
         assert result.status == "fail"
         assert any(w.get("rule") == "centrality" for w in result.witnesses)
 
+    def test_edge_to_lower_budget_is_a_witness(self, i3):
+        # agent 1 spends its budget on agent 2, whose budget is not the maximum
+        w = AllocationProfile(np.array([[0.0, 0.5], [0.25, 0.0]]))
+        result = check_complete_topology(i3, w)
+        assert result.status == "fail"
+        edges = [x for x in result.witnesses if x["rule"] == "target-max-budget"]
+        assert edges == [{"edge": [1, 2], "rule": "target-max-budget", "target_budget": 0.25}]
+
 
 class TestHierarchyCheck:
     def test_two_agent_nash(self, i3, i3_ne):
@@ -190,6 +198,27 @@ class TestSccUniformityCheck:
         assert triangle.is_sink
 
         assert check_hierarchy(g, w).status == "pass"
+
+    @staticmethod
+    def two_agent_scc_pointing_out():
+        """Agents 1 and 2 form an SCC with equal budgets; agent 1 also points
+        at agent 3, a singleton SCC."""
+        g = complete_instance((0.5, 0.5, 0.25))
+        w = AllocationProfile(np.array([[0.0, 0.25, 0.25], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        return g, w
+
+    def test_alpha_propagation_witness(self):
+        g, w = self.two_agent_scc_pointing_out()
+        result = check_scc_uniformity(g, w, centralities=np.array([1.0, 1.0, 0.3]))
+        assert result.status == "fail"
+        assert result.witnesses == (
+            {"scc": 0, "rule": "alpha-propagation", "target_scc": 1, "agent": 3, "alpha": 1.0, "got": 0.3},
+        )
+
+    def test_alpha_propagation_pass(self):
+        g, w = self.two_agent_scc_pointing_out()
+        c = np.array([1.0, 1.0, 1.0 + 5e-11])  # within tol of alpha
+        assert check_scc_uniformity(g, w, centralities=c).status == "pass"
 
     def test_singleton_sccs_vacuous(self, i3, i3_ne):
         assert check_scc_uniformity(i3, i3_ne).status == "pass"

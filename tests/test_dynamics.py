@@ -226,6 +226,12 @@ class TestRunModifiedBrd:
             )
             assert trace.total_steps <= g.n + single_edge_count
 
+    def test_move_that_does_not_raise_the_mover_is_an_error(self, i3, monkeypatch):
+        # a resolvent update that hands back the unchanged zero centralities
+        monkeypatch.setattr(Resolvent, "replace_row", lambda self, i, row: np.zeros(2))
+        with pytest.raises(ArithmeticError, match="step 1: centrality of agent 1 did not strictly increase"):
+            run_brd(i3, AllocationProfile.zeros(2), BrdConfig(mode="modified"))
+
     def test_respects_explicit_max_steps(self, i3):
         cfg = BrdConfig(mode="modified", max_steps=1, tol=1e-12)
         trace = run_brd(i3, AllocationProfile.zeros(2), cfg)
@@ -333,7 +339,7 @@ def solves(monkeypatch):
 class TestSolveCount:
     @pytest.mark.parametrize("mode", ["standard", "modified"])
     @pytest.mark.parametrize("lazy", [True, False])
-    def test_one_solve_per_best_response_step(self, solves, mode, lazy):
+    def test_two_solves_per_run_that_responds(self, solves, mode, lazy):
         # the step-0 katz_solve and one resolvent build per run that makes a
         # best response; the steps take c from the resolvent and solve nothing
         tol = 1e-10

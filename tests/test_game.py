@@ -111,6 +111,22 @@ class TestEquilibriumCentralities:
             cert = equilibrium_centralities(g, tol=tol)
             assert cert.residual <= tol
 
+    def test_gaps_taken_once_per_call(self, monkeypatch):
+        # policy rounds solve only; v(c) - c is read for the final c alone
+        from katzforge import game
+
+        calls = []
+        v_map = game.v_map
+
+        def counting(g, x):
+            calls.append(1)
+            return v_map(g, x)
+
+        monkeypatch.setattr(game, "v_map", counting)
+        cert = equilibrium_centralities(random_game(3, n_max=15))
+        assert cert.iterations > 1
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("b_hi", [0.85, 0.99, 0.999])
     def test_bitwise_equal_to_dense_mask_oracle(self, b_hi):
         for seed in range(80):
