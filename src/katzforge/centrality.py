@@ -138,7 +138,8 @@ def walk_decomposition(g: GameInstance, w: AllocationProfile, i: int) -> WalkDec
     right-hand sides, e_i and 1: column i of (I - A)^-1 and its row sums.
 
     A is A(w) with row i zeroed, so the result is independent of agent i's
-    own row by construction.
+    own row by construction.  ``game.best_response`` reads agent i's best
+    response off it.
     """
     i = _require_agent(g.n, i)
     require_feasible(g, w)

@@ -221,8 +221,6 @@ def run(
             w0 = parse_allocation(Path(w0_spec[5:]).read_text(encoding="utf-8"), g.n)
         else:
             raise click.UsageError(f"unknown --w0 {w0_spec!r}; expected zero, random, or file:PATH")
-        if not is_feasible(g, w0):
-            raise FeasibilityError("initial profile is infeasible for this instance")
         cfg = BrdConfig(scheduler=scheduler, max_steps=max_steps, tol=tol, lazy=lazy, mode=mode)
         trace = run_brd(g, w0, cfg)
         meta = _meta(

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .centrality import Resolvent
-from .game import DEFAULT_TOL, _best_response, _gaps, improvement_gaps, require_tol
+from .centrality import Resolvent, katz_solve
+from .game import DEFAULT_TOL, best_response, improvement_gaps, require_tol
 from .instance import AllocationProfile, GameInstance, _philox, require_feasible
 
 # Default step limit for standard BRD, per agent (convergence is asymptotic).
@@ -175,7 +175,8 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
         limit = STEP_LIMIT_FACTOR * g.n
 
     a = np.array(w0.weights)  # row i takes agent i's moves in place
-    c, gaps = improvement_gaps(g, a)
+    c = katz_solve(a)
+    gaps = improvement_gaps(g, c)
     residual = float(np.max(np.abs(gaps)))
     steps = [_record(0, None, None, c, residual)]
     state = cfg.scheduler.start(g.n)
@@ -199,11 +200,11 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
         else:
             if resolvent is None:
                 resolvent = Resolvent(a)  # a copy: its updates are taken against it
-            row = _best_response(resolvent.decomposition(g, i)).canonical
+            row = best_response(resolvent.decomposition(g, i)).canonical
             a[i] = row
             c_prev = c
             c = resolvent.replace_row(i, row)
-            gaps = _gaps(g, c)
+            gaps = improvement_gaps(g, c)
             residual = float(np.max(np.abs(gaps)))
             if modified and not c[i] > c_prev[i]:
                 raise ArithmeticError(

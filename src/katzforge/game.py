@@ -2,7 +2,9 @@
 
 The map v_i(x) = B_i (1 + max_{j in N_i} x_j) is a sup-norm contraction with
 rate B_M = max_i B_i; its unique fixed point c* is the centrality vector of
-every Nash profile, which is what certification checks against.
+every Nash profile, which is what certification checks against.  Both
+per-profile operations take what the caller already holds: ``best_response``
+a walk decomposition, and ``improvement_gaps`` the centralities c(w).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import WalkDecomposition, katz_solve, walk_decomposition
+from .centrality import WalkDecomposition, katz_solve
 from .instance import AllocationProfile, GameInstance, require_feasible
 
 DEFAULT_TOL = 1e-10
@@ -43,21 +45,12 @@ def v_map(g: GameInstance, x: np.ndarray) -> np.ndarray:
     return g.budget_array * (1.0 + best)
 
 
-def improvement_gaps(
-    g: GameInstance, w: AllocationProfile | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centralities c = c(w) and the improvement gaps v(c) - c.
+def improvement_gaps(g: GameInstance, c: np.ndarray) -> np.ndarray:
+    """The improvement gaps v(c) - c of centralities ``c``.
 
-    Agent i has a strictly better response iff its gap exceeds the tolerance,
-    and w is Nash iff every |gap| is within it.  Feasibility of ``w`` is the
-    caller's to check.
+    With c = c(w), agent i has a strictly better response iff its gap exceeds
+    the tolerance, and w is Nash iff every |gap| is within it.
     """
-    c = katz_solve(w)
-    return c, _gaps(g, c)
-
-
-def _gaps(g: GameInstance, c: np.ndarray) -> np.ndarray:
-    """The improvement gaps v(c) - c of centralities ``c``."""
     return v_map(g, c) - c
 
 
@@ -120,7 +113,7 @@ def equilibrium_centralities(g: GameInstance, tol: float = DEFAULT_TOL) -> Equil
             break
         succ = np.where(switch, best, succ)
 
-    residual = float(np.max(np.abs(_gaps(g, c))))
+    residual = float(np.max(np.abs(improvement_gaps(g, c))))
     if residual > tol:
         raise ArithmeticError(f"equilibrium residual {residual} exceeds tol {tol}")
     return EquilibriumCertificate(
@@ -145,18 +138,14 @@ class BestResponseResult:
         self.canonical.setflags(write=False)
 
 
-def best_response(g: GameInstance, i: int, w: AllocationProfile) -> BestResponseResult:
-    """Exact best response of agent i against the opponents' rows in ``w``.
+def best_response(wd: WalkDecomposition) -> BestResponseResult:
+    """Exact best response of the focal agent of ``wd`` against the opponents'
+    rows: ``best_response(walk_decomposition(g, w, i))`` for agent i of ``w``.
 
     Maximizes the score f[j] = d[j] / (1 - q[j] B_i) over underlying
     out-neighbors; putting the whole budget on any maximizer is optimal, and
-    the achieved centrality is B_i * f[j].  Agent i's own row is ignored.
+    the achieved centrality is B_i * f[j].
     """
-    return _best_response(walk_decomposition(g, w, i))
-
-
-def _best_response(wd: WalkDecomposition) -> BestResponseResult:
-    """The focal agent's best response, read off its walk decomposition."""
     scores = [(j, float(wd.f[j])) for j in wd.neighbors]
     top = max(v for _, v in scores)
     # neighbors ascend, so the tied set does too
@@ -204,7 +193,8 @@ def is_nash(g: GameInstance, w: AllocationProfile, tol: float = DEFAULT_TOL) -> 
     """
     require_tol(tol)
     require_feasible(g, w)
-    c, gaps = improvement_gaps(g, w)
+    c = katz_solve(w)
+    gaps = improvement_gaps(g, c)
     residual = float(np.max(np.abs(gaps)))
     cert = equilibrium_centralities(g, tol=tol)
     eq_gap = float(np.max(np.abs(c - cert.c_star)))

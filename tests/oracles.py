@@ -41,6 +41,7 @@ from katzforge import (
     is_nash,
     katz_solve,
     v_map,
+    walk_decomposition,
 )
 from katzforge.analysis import (
     FAIL,
@@ -139,7 +140,8 @@ def equilibrium_dense_oracle(g: GameInstance, tol: float = DEFAULT_TOL) -> Equil
     while True:
         policy = np.zeros((g.n, g.n))
         policy[agents, succ] = g.budget_array
-        c, gaps = improvement_gaps(g, policy)
+        c = katz_solve(policy)
+        gaps = improvement_gaps(g, c)
         rounds += 1
         scores = np.where(support, c, -np.inf)
         best = scores.argmax(axis=1)
@@ -278,7 +280,7 @@ def _standard_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
         if cfg.lazy and gaps[i] <= cfg.tol:
             row = w.weights[i].copy()
         else:
-            br = best_response(g, i, w)
+            br = best_response(walk_decomposition(g, w, i))
             row = br.canonical
             w = with_row(w, i, row)
             c = katz_solve(w)
@@ -316,7 +318,7 @@ def _modified_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
             status = STEP_LIMIT
             break
         k += 1
-        br = best_response(g, i, w)
+        br = best_response(walk_decomposition(g, w, i))
         w = with_row(w, i, br.canonical)
         c_next = katz_solve(w)
         if not c_next[i] > c[i]:

@@ -177,7 +177,7 @@ def test_c06_best_response_strategy_equivalence():
                                      trial % 2 == 0, (0.1, 0.85), trial)
         w = random_feasible_profile(g, trial + 10_000)
         i = int(rng.integers(n))
-        a = best_response(g, i, w)
+        a = best_response(walk_decomposition(g, w, i))
         b = best_response_oracle(g, i, w)
         if a.argmax_set != b.argmax_set:
             violations.append((trial, i, a.argmax_set, b.argmax_set))

@@ -23,9 +23,11 @@ from katzforge import (
     katz_solve,
     random_profile,
     run_brd,
+    walk_decomposition,
     write_trace_allocations_json,
     write_trace_csv,
 )
+import katzforge.dynamics
 from katzforge.centrality import Resolvent
 from oracles import ScheduleReference, brd_reference
 
@@ -276,6 +278,13 @@ def _assert_grid_matches_reference(games, mode, scheduler, step_limits):
 
 
 class TestAgainstReference:
+    """``run_brd`` against the dense per-step ``brd_reference``.  The
+    ``test_bitwise_identical_traces*`` names keep their suite IDs; what each
+    checks, through ``_assert_same_trace``, is that agents, rows, status,
+    step counts and terminal weights match bit for bit, and that
+    centralities and residuals match within ``CROSS_CHECK_TOL`` times
+    max(1, max c)."""
+
     @pytest.mark.parametrize("mode", ["standard", "modified"])
     @pytest.mark.parametrize("scheduler", ["rr", "random", "explicit"])
     def test_bitwise_identical_traces(self, mode, scheduler):
@@ -313,7 +322,7 @@ class TestAgainstReference:
         assert trace.converged
         w = w0
         for prev, step in zip(trace.steps, trace.steps[1:]):
-            _, gaps = improvement_gaps(g, w)
+            gaps = improvement_gaps(g, katz_solve(w))
             assert gaps[step.agent] > tol  # only improvers move
             assert step.centralities[step.agent] > prev.centralities[step.agent]
             w = with_row(w, step.agent, step.row)
@@ -363,8 +372,43 @@ class TestSolveCount:
         assert len(solves) == 1
 
     def test_dense_best_response_factors_once(self, solves, i3):
-        best_response(i3, 0, AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]])))
+        best_response(walk_decomposition(i3, AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]])), 0))
         assert solves == [2]
+
+
+class TestPublicRoute:
+    @pytest.mark.parametrize("mode", ["standard", "modified"])
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_steps_call_the_public_functions(self, monkeypatch, mode, lazy):
+        # each best-response step reads its move with the public best_response
+        # and its gaps with the public improvement_gaps; step 0 takes gaps too
+        movers, gap_calls = [], []
+
+        def counting_best_response(wd):
+            movers.append(wd.agent)
+            return best_response(wd)
+
+        def counting_gaps(g, c):
+            gap_calls.append(c)
+            return improvement_gaps(g, c)
+
+        monkeypatch.setattr(katzforge.dynamics, "best_response", counting_best_response)
+        monkeypatch.setattr(katzforge.dynamics, "improvement_gaps", counting_gaps)
+        tol = 1e-10
+        for seed in range(6):
+            g = random_game(seed, n_max=15, budget_hi=0.99)
+            w0 = random_feasible_profile(g, seed + 21)
+            movers.clear()
+            gap_calls.clear()
+            trace = run_brd(g, w0, BrdConfig(mode=mode, lazy=lazy, tol=tol))
+            responses = [
+                step.agent
+                for prev, step in zip(trace.steps, trace.steps[1:])
+                if not (lazy and improvement_gaps(g, prev.centralities)[step.agent] <= tol)
+            ]
+            assert responses
+            assert movers == responses
+            assert len(gap_calls) == 1 + len(responses)
 
 
 class TestResidualFallback:
@@ -389,7 +433,8 @@ class TestResidualFallback:
             first = trace.steps[1]  # every modified-mode step is a move
             [resolvent] = built
             assert resolvent.rebuilds == 1
-            c, gaps = improvement_gaps(g, with_row(w0, first.agent, first.row))
+            c = katz_solve(with_row(w0, first.agent, first.row))
+            gaps = improvement_gaps(g, c)
             np.testing.assert_array_equal(first.centralities, c)
             assert first.residual == float(np.max(np.abs(gaps)))
             assert trace.converged
@@ -453,7 +498,7 @@ class TestSelectAgents:
                 movers.add(trace.steps[1].agent)
             else:
                 assert trace.converged
-        _, gaps = improvement_gaps(g, w)
+        gaps = improvement_gaps(g, katz_solve(w))
         assert movers == {i for i in range(g.n) if gaps[i] > tol}
         return movers
 

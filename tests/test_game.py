@@ -186,13 +186,13 @@ def _assert_same_certificate(g: GameInstance) -> None:
 class TestBestResponse:
     def test_single_neighbor_forces_response(self, i2):
         w = AllocationProfile(np.array([[0.0, 0.0], [0.25, 0.0]]))
-        br = best_response(i2, 0, w)
+        br = best_response(walk_decomposition(i2, w, 0))
         assert br.argmax_set == (1,)
         np.testing.assert_array_equal(br.canonical, [0.0, 0.5])
 
     def test_prefers_productive_neighbor_over_self_loop(self, i3):
         w = AllocationProfile(np.array([[0.5, 0.0], [0.0, 0.0]]))
-        br = best_response(i3, 1, w)
+        br = best_response(walk_decomposition(i3, w, 1))
         assert br.argmax_set == (0,)
         np.testing.assert_array_equal(br.canonical, [0.25, 0.0])
         assert br.achieved_value == pytest.approx(0.5, abs=1e-12)
@@ -205,7 +205,7 @@ class TestBestResponse:
             topology_from_edges(2, [(0, 0), (0, 1), (1, 0), (1, 1)]), (0.5, 0.5)
         )
         w = AllocationProfile(np.array([[0.0, 0.0], [0.0, 0.5]]))
-        br = best_response(g, 0, w)
+        br = best_response(walk_decomposition(g, w, 0))
         oracle = best_response_oracle(g, 0, w)
         assert br.argmax_set == oracle.argmax_set == (0, 1)
         assert br.achieved_value == pytest.approx(1.0, abs=1e-12)
@@ -217,7 +217,7 @@ class TestBestResponse:
             g = random_game(seed)
             w = random_feasible_profile(g, seed + 42)
             for i in range(g.n):
-                br = best_response(g, i, w)
+                br = best_response(walk_decomposition(g, w, i))
                 assert br.canonical.sum() == pytest.approx(g.budgets[i], abs=0)
                 assert np.count_nonzero(br.canonical) == 1
 
@@ -227,7 +227,7 @@ class TestBestResponse:
             g = random_game(seed, n_max=12)
             w = random_feasible_profile(g, seed + 99)
             i = int(rng.integers(g.n))
-            a = best_response(g, i, w)
+            a = best_response(walk_decomposition(g, w, i))
             b = best_response_oracle(g, i, w)
             assert a.argmax_set == b.argmax_set
             assert a.achieved_value == pytest.approx(b.achieved_value, abs=1e-9)
@@ -237,7 +237,7 @@ class TestBestResponse:
             g = random_game(seed, n_max=10)
             w = random_feasible_profile(g, seed)
             for i in range(g.n):
-                br = best_response(g, i, w)
+                br = best_response(walk_decomposition(g, w, i))
                 for j in br.argmax_set:
                     trial = np.zeros(g.n)
                     trial[j] = g.budgets[i]
@@ -256,13 +256,14 @@ class TestBestResponse:
     def test_bad_agent_index_rejected(self, i3, i, message):
         w = AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]]))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            best_response(i3, i, w)
+            best_response(walk_decomposition(i3, w, i))
         with pytest.raises(ValueError, match=f"^{message}$"):
             walk_decomposition(i3, w, i)
 
     def test_numpy_integer_agent_accepted(self, i3):
         w = AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]]))
-        br, want = best_response(i3, np.int64(1), w), best_response(i3, 1, w)
+        br = best_response(walk_decomposition(i3, w, np.int64(1)))
+        want = best_response(walk_decomposition(i3, w, 1))
         assert type(br.agent) is int
         assert (br.agent, br.argmax_set, br.achieved_value) == (want.agent, want.argmax_set, want.achieved_value)
         np.testing.assert_array_equal(br.canonical, want.canonical)
@@ -283,7 +284,8 @@ class TestImprovementGaps:
         g = request.getfixturevalue(instance)
         w = AllocationProfile(np.array(weights))
         tol = 1e-10
-        c, gaps = improvement_gaps(g, w)
+        c = katz_solve(w)
+        gaps = improvement_gaps(g, c)
         np.testing.assert_array_equal(c, katz_solve(w))
         assert {i for i in range(g.n) if gaps[i] > tol} == improvers
         # no improver left means every agent best-responds: |gap| <= tol
@@ -292,7 +294,7 @@ class TestImprovementGaps:
     def test_nan_weights_rejected(self, i3):
         # no NaN gaps: the centrality solve rejects its NaN residual
         with pytest.raises(ArithmeticError, match="residual"):
-            improvement_gaps(i3, np.array([[np.nan, 0.0], [0.25, 0.0]]))
+            improvement_gaps(i3, katz_solve(np.array([[np.nan, 0.0], [0.25, 0.0]])))
 
 
 class TestResponsePredicates:
@@ -303,13 +305,15 @@ class TestResponsePredicates:
     TOL = 1e-10
 
     def _improves(self, g, i, w):
-        c, gaps = improvement_gaps(g, w)
+        c = katz_solve(w)
+        gaps = improvement_gaps(g, c)
         strict = bool(gaps[i] > self.TOL)
         assert strict == (best_response_oracle(g, i, w).achieved_value > c[i] + self.TOL)
         return strict
 
     def _is_best(self, g, i, w):
-        c, gaps = improvement_gaps(g, w)
+        c = katz_solve(w)
+        gaps = improvement_gaps(g, c)
         best = bool(abs(gaps[i]) <= self.TOL)
         oracle = best_response_oracle(g, i, w).achieved_value
         assert best == (abs(oracle - c[i]) <= self.TOL)
@@ -406,7 +410,7 @@ class TestGameInvariants:
             w = random_feasible_profile(g, seed + 61)
             c0 = katz_solve(w)
             for i in range(g.n):
-                br = best_response(g, i, w)
+                br = best_response(walk_decomposition(g, w, i))
                 c1 = katz_solve(with_row(w, i, br.canonical))
                 assert c1[i] >= c0[i] - 1e-12
                 assert np.all(c1 >= c0 - 1e-12)
@@ -416,7 +420,7 @@ class TestGameInvariants:
             g = random_game(seed, n_max=10)
             w = random_feasible_profile(g, seed + 13)
             for i in range(g.n):
-                br = best_response(g, i, w)
+                br = best_response(walk_decomposition(g, w, i))
                 after = with_row(w, i, br.canonical)
                 c = katz_solve(after)
                 best = max(c[k] for k in g.topology.out_neighbors(i))
