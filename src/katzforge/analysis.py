@@ -12,6 +12,7 @@ induce.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -26,10 +27,31 @@ FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
 
+def _sweep(adjacent: list[list[int]], roots: Iterable[int]) -> list[tuple[int, ...]]:
+    """Components grown from ``roots`` in turn: each root not yet taken takes
+    every untaken agent it reaches through ``adjacent``.  Members sorted,
+    components in the order of their roots."""
+    taken = [False] * len(adjacent)
+    found = []
+    for root in roots:
+        if taken[root]:
+            continue
+        taken[root] = True
+        members = [root]
+        for v in members:  # the list grows while it is read
+            for u in adjacent[v]:
+                if not taken[u]:
+                    taken[u] = True
+                    members.append(u)
+        found.append(tuple(sorted(members)))
+    return found
+
+
 class _Support:
     """Positive-weight digraph of ``w`` as CSR arrays, its adjacency lists and
-    its strongly connected components, each built on first use.  Edges come
-    row-major, so every agent's successors and predecessors ascend."""
+    its strongly connected components (two passes, the second a ``_sweep``),
+    each built on first use.  Edges come row-major, so every agent's
+    successors and predecessors ascend."""
 
     def __init__(self, w: AllocationProfile):
         self.weights = w.weights
@@ -47,52 +69,37 @@ class _Support:
 
     @cached_property
     def pred(self) -> list[list[int]]:
-        order = np.argsort(self.cols, kind="stable")
-        return self._lists(self.cols[order], self.rows[order])
+        # a scan of the transpose, not a stable argsort of ``cols``: ``sccs``
+        # reads pred for every support, and the sort's first call adds about
+        # 0.1 MB to the peak RSS of a short-lived process
+        cols, rows = np.nonzero(self.weights.T > 0)
+        return self._lists(cols, rows)
 
     @cached_property
     def sccs(self) -> list[tuple[int, ...]]:
-        """Strongly connected components by Tarjan's algorithm, iteratively,
-        in O(n + m): members sorted, components ordered by smallest member."""
+        """Strongly connected components by Kosaraju's two passes, in
+        O(n + m): a depth-first finish order over ``succ``, then a sweep over
+        ``pred`` from the last finished agent back.  Members sorted,
+        components ordered by smallest member."""
         succ = self.succ
-        n = len(succ)
-        index = [-1] * n  # discovery order, -1 while unvisited
-        low = [0] * n
-        on_stack = [False] * n
-        stack: list[int] = []
-        found = []
-        counter = 0
-        for root in range(n):
-            if index[root] >= 0:
+        seen = [False] * len(succ)
+        finished = []
+        for root in range(len(succ)):
+            if seen[root]:
                 continue
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack[root] = True
+            seen[root] = True
             path = [(root, iter(succ[root]))]
             while path:
                 v, targets = path[-1]
                 for u in targets:
-                    if index[u] < 0:  # descend; v's remaining targets wait
-                        index[u] = low[u] = counter
-                        counter += 1
-                        stack.append(u)
-                        on_stack[u] = True
+                    if not seen[u]:  # descend; v's remaining targets wait
+                        seen[u] = True
                         path.append((u, iter(succ[u])))
                         break
-                    if on_stack[u] and index[u] < low[v]:
-                        low[v] = index[u]
                 else:  # v is finished
                     path.pop()
-                    if path and low[v] < low[path[-1][0]]:
-                        low[path[-1][0]] = low[v]
-                    if low[v] == index[v]:  # v roots a component: pop it
-                        members = []
-                        while not members or members[-1] != v:
-                            members.append(stack.pop())
-                            on_stack[members[-1]] = False
-                        found.append(tuple(sorted(members)))
-        return sorted(found)  # disjoint sorted tuples compare by smallest member
+                    finished.append(v)
+        return sorted(_sweep(self.pred, reversed(finished)))  # disjoint sorted tuples compare by smallest member
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -401,7 +408,7 @@ def _parity_two_paths(support: _Support) -> list[tuple[tuple[int, ...], np.ndarr
     Every simple cycle x_1 -> ... -> x_L -> x_1 of length L >= 3 ties x_k to
     x_{k+2}, and those ties are exactly its 2-paths; conversely a 2-path
     u -> v -> w (u != w) lies on a simple cycle iff w reaches u without v.
-    Classes are the connected components of these ties, found by union-find,
+    Classes are the connected components of these ties, found by one sweep,
     so an odd cycle puts all its agents in one class and an even cycle its
     two alternating halves; a class may join several cycles.  The work is
     done per strongly connected component of m agents: each agent v runs one
@@ -412,13 +419,6 @@ def _parity_two_paths(support: _Support) -> list[tuple[tuple[int, ...], np.ndarr
     smallest member, each with its 2-paths as rows (u, v, w) of 0-based
     agents."""
     n = len(support.weights)
-    parent = list(range(n))  # union-find forest; each root is its class's smallest member
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     rows = [np.empty((0, 3), dtype=int)]
     for comp in support.sccs:
         if len(comp) < 3:  # two agents close only u -> v -> u, no pair u != w
@@ -427,17 +427,18 @@ def _parity_two_paths(support: _Support) -> list[tuple[tuple[int, ...], np.ndarr
         a = support.weights[np.ix_(idx, idx)] > 0
         np.fill_diagonal(a, False)
         rows.append(idx[_closing_two_paths(a)])
-        for u, x in rows[-1][:, [0, 2]].tolist():
-            ru, rx = find(u), find(x)
-            if ru != rx:
-                parent[max(ru, rx)] = min(ru, rx)
     rows = np.concatenate(rows)
-    roots = [find(v) for v in range(n)]
-    classes: dict[int, list[int]] = {}
-    for v, root in enumerate(roots):  # ascending: members sorted, classes by smallest member
-        classes.setdefault(root, []).append(v)
-    row_roots = np.array(roots, dtype=int)[rows[:, 0]]
-    return [(tuple(members), rows[row_roots == root]) for root, members in classes.items() if len(members) > 1]
+    ties: list[list[int]] = [[] for _ in range(n)]
+    for u, x in rows[:, [0, 2]].tolist():
+        ties[u].append(x)
+        ties[x].append(u)
+    # roots ascend, so the classes come ordered by smallest member
+    classes = [members for members in _sweep(ties, range(n)) if len(members) > 1]
+    label = np.full(n, -1)
+    for k, members in enumerate(classes):
+        label[list(members)] = k
+    row_labels = label[rows[:, 0]]
+    return [(members, rows[row_labels == k]) for k, members in enumerate(classes)]
 
 
 def parity_classes(w: AllocationProfile) -> tuple[tuple[int, ...], ...]:

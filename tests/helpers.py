@@ -19,6 +19,11 @@ from katzforge import (
 # brd_reference oracle.
 CROSS_CHECK_TOL = 1e-10
 
+# The paper's reported complete-topology example: its budgets and the
+# equilibrium centralities it reports, to two decimals.
+REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
+REPORTED_C_STAR = np.array([1.15] * 3 + [4.77] * 3 + [3.98] * 3 + [0.98])
+
 
 def with_row(w: AllocationProfile, i: int, row) -> AllocationProfile:
     """``w`` with agent i's row replaced by ``row``."""

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import random_feasible_profile, undirected_game
+from helpers import REPORTED_BUDGETS, REPORTED_C_STAR, random_feasible_profile, undirected_game
 from katzforge import (
     AllocationProfile,
     BrdConfig,
@@ -34,9 +34,6 @@ from oracles import (
     series_pq,
     series_tail_bound,
 )
-
-REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
-REPORTED_C_STAR = np.array([1.15] * 3 + [4.77] * 3 + [3.98] * 3 + [0.98])
 
 
 def _report(num, name, elapsed, violations, detail=""):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    REPORTED_BUDGETS,
     circulant_profile,
     complete_instance,
     find_ne,
@@ -42,8 +43,6 @@ from oracles import (
     support_digraph_nx,
 )
 
-REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
-
 
 def self_loop_experiment():
     """Exact-budget reconstruction of the reported self-loop run: underlying
@@ -71,6 +70,9 @@ def self_loop_experiment():
 
 
 class TestTarjan:
+    """The strongly connected components of the support, as the condensation
+    reports them."""
+
     def test_two_agent_nash_network(self, i3_ne):
         cond = scc_condensation(i3_ne)
         assert [c.members for c in cond.components] == [(0,), (1,)]
@@ -344,6 +346,15 @@ class TestParityClasses:
             w[a, b] = 0.5
         w[9, 9] = w[10, 11] = w[11, 10] = 0.5
         assert parity_classes(AllocationProfile(w)) == ((0, 1, 2), (3, 5), (4, 6))
+
+    @pytest.mark.parametrize("n", [1500, 1499])
+    def test_long_directed_cycle(self, n):
+        # deeper than the default recursion limit: an even cycle splits into
+        # its two alternating halves, an odd one is a single class
+        w = np.zeros((n, n))
+        w[np.arange(n), (np.arange(n) + 1) % n] = 0.5
+        expected = (tuple(range(0, n, 2)), tuple(range(1, n, 2))) if n % 2 == 0 else (tuple(range(n)),)
+        assert parity_classes(AllocationProfile(w)) == expected
 
 
 class TestAgainstNetworkx:

@@ -181,6 +181,19 @@ class TestRun:
     def test_unknown_scheduler_is_usage_error(self, i3_file, tmp_path):
         assert main(["run", str(i3_file), "--scheduler", "bogus", "-o", str(tmp_path / "t.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--w0", "bogus"], "unknown --w0 'bogus'; expected zero, random, or file:PATH"),
+            (["--scheduler", "seq:1,x"], "bad explicit schedule 'seq:1,x'; expected seq:1,2,3"),
+        ],
+        ids=["w0", "explicit-schedule"],
+    )
+    def test_bad_option_value_is_usage_error(self, i3_file, tmp_path, capsys, flags, message):
+        assert main(["run", str(i3_file), *flags, "-o", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err.endswith(f"Error: {message}\n")
+        assert not list(tmp_path.glob("t*.csv"))
+
     def test_explicit_schedule(self, i3_file, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["run", str(i3_file), "--scheduler", "seq:1,2", "-o", str(out)]) == 0

@@ -5,6 +5,8 @@ import pytest
 
 from helpers import (
     CROSS_CHECK_TOL,
+    REPORTED_BUDGETS,
+    REPORTED_C_STAR,
     complete_instance,
     random_feasible_profile,
     random_game,
@@ -31,9 +33,6 @@ import katzforge.dynamics
 from katzforge.centrality import Resolvent
 from oracles import ScheduleReference, brd_reference
 
-REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
-REPORTED_C_STAR = np.array([1.15] * 3 + [4.77] * 3 + [3.98] * 3 + [0.98])
-
 
 class TestScheduler:
     def test_round_robin_cycles(self):
@@ -54,6 +53,16 @@ class TestScheduler:
     def test_uniform_random_requires_seed(self):
         with pytest.raises(ValueError, match="seed"):
             Scheduler(kind="uniform-random")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            Scheduler(kind="fifo")
+        assert str(exc.value) == "unknown scheduler kind 'fifo'"
+
+    def test_explicit_requires_a_nonempty_sequence(self):
+        with pytest.raises(ValueError) as exc:
+            Scheduler.explicit([])
+        assert str(exc.value) == "explicit scheduler requires a nonempty sequence"
 
     def test_explicit_sequence_and_exhaustion(self):
         state = Scheduler.explicit([2, 0, 1]).start(3)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from katzforge import (
     AllocationProfile,
     GameInstance,
     ParseError,
+    UnderlyingTopology,
     generate_random_instance,
     instance_digest,
     is_feasible,
@@ -31,6 +33,11 @@ _EMPTY_ROW = "empty out-neighborhood in underlying topology (nonempty-neighborho
 class TestValidation:
     def test_minimal_valid_instance(self, i1):
         assert GameInstance(i1.topology, i1.budgets) == i1
+
+    def test_budget_count_must_match_agents(self):
+        with pytest.raises(ValueError) as exc:
+            GameInstance(topology_from_edges(2, [(0, 1), (1, 0)]), (0.5,))
+        assert str(exc.value) == "got 1 budgets for n=2 agents"
 
     def test_empty_out_neighborhood_is_reported(self):
         with pytest.raises(ValueError) as exc:
@@ -104,6 +111,11 @@ class TestTopology:
             topology_from_edges(2, edges)
         bad = next(e for e in edges if not all(type(v) is int for v in e))
         assert repr(bad) in str(exc.value)
+
+    def test_no_agents_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            UnderlyingTopology(0, frozenset())
+        assert str(exc.value) == "agent count must be positive, got 0"
 
     def test_numpy_integer_endpoints_accepted(self):
         top = topology_from_edges(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 1)])
@@ -252,6 +264,29 @@ class TestDocuments:
         assert str(exc.value) == message
         assert exc.value.field == message.split(":")[0]
 
+    @pytest.mark.parametrize(
+        "parse, doc, message",
+        [
+            (parse_instance, "[]", "instance document must be a JSON object"),
+            (parse_instance, '{"n": 1, "budgets": [0.5]}', "edges: missing required field"),
+            (parse_instance, '{"n": 1, "edges": [[1, 1]], "budgets": [true]}',
+             "budgets[0]: must be a number or decimal string"),
+            (parse_instance, '{"n": 1, "edges": [[1, 1]], "budgets": [null]}',
+             "budgets[0]: must be a number or decimal string"),
+            (parse_instance, '{"n": 1, "edges": [[1, 1]], "budgets": ["abc"]}', "budgets[0]: not a decimal number"),
+            (parse_instance, '{"n": 1, "edges": [[1, 1]], "budgets": [0.5], "name": 5}', "name: must be a string"),
+            (partial(parse_allocation, n=2), "[]", "allocation document must be a JSON object"),
+            (partial(parse_allocation, n=2), "{}", "weights: missing required field"),
+        ],
+        ids=["not-object", "no-edges", "budget-true", "budget-null", "budget-not-decimal", "name-not-string",
+             "allocation-not-object", "no-weights"],
+    )
+    def test_document_error_messages(self, parse, doc, message):
+        with pytest.raises(ParseError) as exc:
+            parse(doc)
+        assert str(exc.value) == message
+        assert exc.value.field == (message.split(":")[0] if ":" in message else None)
+
     def test_duplicate_edge(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_instance('{"n": 1, "edges": [[1, 1], [1, 1]], "budgets": [0.5]}')
@@ -385,6 +420,16 @@ class TestGenerator:
             g = generate_random_instance(4, 0.5, True, (0.3, 0.7), seed=seed)
             assert all(g.topology.out_neighbors(i) for i in range(g.n))
             assert all(0 < b < 1 for b in g.budgets)
+
+    @pytest.mark.parametrize(
+        "n, density, message",
+        [(0, 0.5, "n must be positive, got 0"), (3, 1.5, "edge_density must be in [0, 1], got 1.5")],
+        ids=["n", "density"],
+    )
+    def test_bad_size_or_density(self, n, density, message):
+        with pytest.raises(ValueError) as exc:
+            generate_random_instance(n, density, True, (0.3, 0.7), seed=0)
+        assert str(exc.value) == message
 
     def test_bad_budget_range(self):
         with pytest.raises(ValueError, match="budget_range"):
