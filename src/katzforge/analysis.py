@@ -49,9 +49,8 @@ def _sweep(adjacent: list[list[int]], roots: Iterable[int]) -> list[tuple[int, .
 
 class _Support:
     """Positive-weight digraph of ``w`` as CSR arrays, its adjacency lists and
-    its strongly connected components (two passes, the second a ``_sweep``),
-    each built on first use.  Edges come row-major, so every agent's
-    successors and predecessors ascend."""
+    its strongly connected components (Kosaraju's), each built on first use.
+    Edges come row-major, so every agent's successors and predecessors ascend."""
 
     def __init__(self, w: AllocationProfile):
         self.weights = w.weights
@@ -69,18 +68,14 @@ class _Support:
 
     @cached_property
     def pred(self) -> list[list[int]]:
-        # a scan of the transpose, not a stable argsort of ``cols``: ``sccs``
-        # reads pred for every support, and the sort's first call adds about
-        # 0.1 MB to the peak RSS of a short-lived process
-        cols, rows = np.nonzero(self.weights.T > 0)
-        return self._lists(cols, rows)
+        order = np.argsort(self.cols, kind="stable")
+        return self._lists(self.cols[order], self.rows[order])
 
     @cached_property
     def sccs(self) -> list[tuple[int, ...]]:
-        """Strongly connected components by Kosaraju's two passes, in
-        O(n + m): a depth-first finish order over ``succ``, then a sweep over
-        ``pred`` from the last finished agent back.  Members sorted,
-        components ordered by smallest member."""
+        """Strongly connected components, members sorted, ordered by smallest
+        member: Kosaraju's two passes in O(n + m), a depth-first finish order
+        over ``succ``, then a sweep over ``pred``, latest finished first."""
         succ = self.succ
         seen = [False] * len(succ)
         finished = []
@@ -99,7 +94,7 @@ class _Support:
                 else:  # v is finished
                     path.pop()
                     finished.append(v)
-        return sorted(_sweep(self.pred, reversed(finished)))  # disjoint sorted tuples compare by smallest member
+        return sorted(_sweep(self.pred, reversed(finished)))  # disjoint: by smallest member
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -408,7 +403,7 @@ def _parity_two_paths(support: _Support) -> list[tuple[tuple[int, ...], np.ndarr
     Every simple cycle x_1 -> ... -> x_L -> x_1 of length L >= 3 ties x_k to
     x_{k+2}, and those ties are exactly its 2-paths; conversely a 2-path
     u -> v -> w (u != w) lies on a simple cycle iff w reaches u without v.
-    Classes are the connected components of these ties, found by one sweep,
+    Classes are the connected components of these ties, found by ``_sweep``,
     so an odd cycle puts all its agents in one class and an even cycle its
     two alternating halves; a class may join several cycles.  The work is
     done per strongly connected component of m agents: each agent v runs one

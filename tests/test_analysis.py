@@ -349,8 +349,9 @@ class TestParityClasses:
 
     @pytest.mark.parametrize("n", [1500, 1499])
     def test_long_directed_cycle(self, n):
-        # deeper than the default recursion limit: an even cycle splits into
-        # its two alternating halves, an odd one is a single class
+        # longer than the default recursion limit, so only an iterative search
+        # finishes: an even cycle splits into its two alternating halves, an
+        # odd one is a single class
         w = np.zeros((n, n))
         w[np.arange(n), (np.arange(n) + 1) % n] = 0.5
         expected = (tuple(range(0, n, 2)), tuple(range(1, n, 2))) if n % 2 == 0 else (tuple(range(n)),)
