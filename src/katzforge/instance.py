@@ -92,7 +92,9 @@ class UnderlyingTopology:
         return tuple(cols[offsets[i] : offsets[i + 1]].tolist())
 
     def has_all_self_loops(self) -> bool:
-        return all((i, i) in self.adj for i in range(self.n))
+        cols, offsets = self.neighbor_index
+        rows = np.repeat(np.arange(self.n), np.diff(offsets))
+        return int(np.count_nonzero(rows == cols)) == self.n
 
     def is_complete(self) -> bool:
         """Every ordered pair present, self-pairs included."""

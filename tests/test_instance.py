@@ -172,6 +172,16 @@ class TestTopology:
             seen.add(want)
         assert seen == {True, False}
 
+    def test_missing_last_self_loop(self):
+        n = 5
+        complete = [(i, j) for i in range(n) for j in range(n)]
+        assert topology_from_edges(n, complete).has_all_self_loops()
+        assert not topology_from_edges(n, [e for e in complete if e != (n - 1, n - 1)]).has_all_self_loops()
+
+    def test_single_agent_self_loop(self):
+        assert topology_from_edges(1, [(0, 0)]).has_all_self_loops()
+        assert not topology_from_edges(1, []).has_all_self_loops()
+
 
 class TestFeasibility:
     def test_budget_exactly_met(self, i1):
