@@ -6,13 +6,15 @@ diagonally dominant for any substochastic A, so the systems are well
 conditioned at desk scale.  ``katz_solve`` factors I - A once per call.
 One formula reads an agent's walk decomposition off column i of
 M = (I - A)^-1 and the row sums of M.  ``walk_decomposition`` gets both from
-one solve with agent i's row zeroed.  ``Resolvent`` keeps M across
-single-row changes by O(n^2) Sherman-Morrison updates, reads any agent's
-decomposition off it in O(n), and returns the new profile's centralities
-from each update: M 1 - 1 after one step of iterative refinement, once
-their residual passes the bound ``katz_solve`` checks, and ``katz_solve``'s
-otherwise.  Best-response dynamics take every step's targets and
-centralities from it.
+one solve with agent i's row zeroed.  ``Resolvent`` holds a profile that
+changes one row at a time together with its M, which it keeps across row
+changes by O(n^2) Sherman-Morrison updates.  It reads any agent's
+decomposition off M in O(n), and certifies the profile's centralities when
+it is built and after each update: M 1 - 1 after one step of iterative
+refinement, once their residual passes the bound ``katz_solve`` checks.  A
+failed check refactors M and certifies again.  Best-response dynamics keep
+their profile in it and take every record's targets and centralities from
+it.
 """
 
 from __future__ import annotations
@@ -161,15 +163,17 @@ def _on_grid(x: np.ndarray, e: int) -> np.ndarray:
 
 
 class Resolvent:
-    """M = (I - A)^-1 for a profile that changes one row at a time.
+    """A profile A that changes one row at a time, with M = (I - A)^-1.
 
-    Built by one residual-checked dense solve.  ``replace_row`` applies the
-    Sherman-Morrison update for a changed row and returns the new profile's
-    Katz centralities: c = M 1 - 1 after one step of iterative refinement,
-    accepted only when the update's denominator is positive and
-    max |c - A c - A 1| is within ``SOLVE_RESIDUAL_TOL * n``, the bound
-    ``katz_solve`` checks.  Otherwise c comes from ``katz_solve`` and M is
-    refactored from scratch; ``rebuilds`` counts those refactorizations.
+    Built by one residual-checked dense solve.  ``centralities`` holds the
+    certified Katz centralities of the current profile: c = M 1 - 1 after
+    one step of iterative refinement, accepted only when max |c - A c - A 1|
+    is within ``SOLVE_RESIDUAL_TOL * n``, the bound ``katz_solve`` checks.
+    ``replace_row`` applies the Sherman-Morrison update for a changed row
+    and certifies again.  A non-positive update denominator or a failed
+    check refactors M from scratch, counted in ``rebuilds``, and certifies
+    once more; a check that fails right after a fresh factorization raises
+    ArithmeticError.
 
     Near budgets of 1, M 1 - 1 is off by up to 1 / (1 - B_M) times the
     rounding of M, and so is a refinement whose residual is rounded at the
@@ -178,21 +182,23 @@ class Resolvent:
     A 1.  A is kept only as A_hi + A_lo, exactly, with A_hi on the grid of
     2^-26, and A_hi times c rounded to 26 bits is a sum of products on one
     grid, which double precision holds exactly in any summation order.
+    ``row`` and ``weights`` read A back as A_hi + A_lo, which is A.
     """
 
     def __init__(self, w: AllocationProfile | np.ndarray):
         a = np.array(_weights(w))
+        _require_substochastic(a)
         self.rebuilds = 0
-        self._build(a)
         self._a_1 = a.sum(axis=1)
         self._a_hi = _on_grid(a, 0)  # entries below 1
         a -= self._a_hi
         self._a_lo = a
+        self._factor()
+        self.centralities = self._certified(fresh=True)
 
-    def _build(self, a: np.ndarray) -> None:
-        _require_substochastic(a)
-        n = a.shape[0]
-        self._m = _solve_checked(np.eye(n) - a, np.eye(n))
+    def _factor(self) -> None:
+        n = len(self._a_1)
+        self._m = _solve_checked(np.eye(n) - self.weights(), np.eye(n))
         self._s = self._m.sum(axis=1)
 
     def _residual(self, c: np.ndarray) -> np.ndarray:
@@ -202,29 +208,49 @@ class Resolvent:
         small = self._a_hi @ (c - c_hi) + self._a_lo @ c + self._a_1
         return (c - self._a_hi @ c_hi) - small
 
+    def _certified(self, fresh: bool) -> np.ndarray:
+        """M 1 - 1 after one step of iterative refinement, once its residual
+        passes the check; on a failure, ``fresh`` says whether M was just
+        factored (raise) or may have drifted (refactor and check again)."""
+        c = self._s - 1.0
+        c -= self._m @ self._residual(c)
+        residual = np.max(np.abs(self._residual(c)))
+        if residual <= SOLVE_RESIDUAL_TOL * len(c):  # NaN fails too
+            return c
+        if fresh:
+            raise ArithmeticError(
+                f"centrality residual {residual} exceeds bound after a fresh factorization"
+            )
+        self.rebuilds += 1
+        self._factor()
+        return self._certified(fresh=True)
+
+    def row(self, i: int) -> np.ndarray:
+        """A new array holding row ``i`` of A."""
+        return self._a_hi[i] + self._a_lo[i]
+
+    def weights(self) -> np.ndarray:
+        """A new array holding A."""
+        return self._a_hi + self._a_lo
+
     def decomposition(self, g: GameInstance, i: int) -> WalkDecomposition:
         """The walk decomposition of focal agent ``i`` in O(n)."""
         return _decomposition(g, i, self._m[:, i], self._s)
 
     def replace_row(self, i: int, row: np.ndarray) -> np.ndarray:
-        """Set row ``i`` of A to ``row`` and return the Katz centralities of
-        the new profile, in O(n^2) unless the update fails its checks."""
-        delta = row - (self._a_hi[i] + self._a_lo[i])
+        """Set row ``i`` of A to ``row`` and return the new ``centralities``,
+        in O(n^2) unless M has to be refactored."""
+        delta = row - self.row(i)
         self._a_hi[i] = _on_grid(row, 0)
         self._a_lo[i] = row - self._a_hi[i]
         self._a_1[i] = row.sum()
-        m_i = self._m[:, i]
         delta_m = delta @ self._m
         denom = 1.0 - delta_m[i]
         if denom > 0:
-            self._m += np.multiply.outer(m_i / denom, delta_m)
+            self._m += np.multiply.outer(self._m[:, i] / denom, delta_m)
             self._s = self._m.sum(axis=1)
-            c = self._s - 1.0
-            c -= self._m @ self._residual(c)  # one step of iterative refinement
-            residual = np.max(np.abs(self._residual(c)))
-            if residual <= SOLVE_RESIDUAL_TOL * len(c):  # NaN fails too
-                return c
-        self.rebuilds += 1
-        a = self._a_hi + self._a_lo
-        self._build(a)
-        return katz_solve(a)
+        else:
+            self.rebuilds += 1
+            self._factor()
+        self.centralities = self._certified(fresh=not denom > 0)
+        return self.centralities

@@ -8,13 +8,13 @@ v(c(w)) - c(w) of the current profile, never on profile stability: profiles
 may keep moving between tied best responses while the centralities are
 already at the fixed point.
 
-A move is written in place into one weight matrix, and a best-response step
-makes no dense solve.  A run solves twice: ``katz_solve`` at step 0, and the
-build of a ``Resolvent`` at the first best-response step.  The resolvent is
-updated by one O(n^2) rank-one change per move; the mover's target is read
-off it, and the update returns the recorded centralities with a checked
-residual, or ``katz_solve``'s when the check fails.  The terminal
-``AllocationProfile`` is built once.
+A ``Resolvent`` built from w0 is the run's one copy of the profile, and
+the run's one dense solve: a best-response step makes none, unless a
+residual check fails and M is refactored.  Every recorded c is certified by
+the same refinement and residual check, step 0's at the build and each
+move's after the O(n^2) rank-one update that writes the move.  The mover's
+target is read off the resolvent, so are a lazy step's row and the terminal
+weights, and the terminal ``AllocationProfile`` is built once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .centrality import Resolvent, katz_solve
+from .centrality import Resolvent
 from .game import DEFAULT_TOL, best_response, improvement_gaps, require_tol
 from .instance import AllocationProfile, GameInstance, _philox, require_feasible
 
@@ -149,7 +149,8 @@ class BrdTrace:
 
 
 def _record(step: int, agent: int | None, row: np.ndarray | None, c: np.ndarray, residual: float) -> BrdStep:
-    """Keeps ``c`` and ``row``, which nothing else may hold, and marks them read-only."""
+    """Keeps ``c`` and ``row`` and marks them read-only; nothing that also
+    holds them writes to them."""
     for arr in (c, row):
         if arr is not None:
             arr.setflags(write=False)
@@ -166,6 +167,10 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
     gap exceeds ``cfg.tol`` are scheduled, and each move must strictly raise
     the mover's centrality (else ArithmeticError), so the run converges, with
     no gap above ``cfg.tol``, in finitely many steps; it has no default limit.
+
+    The profile lives in one ``Resolvent``: one dense solve per run, plus
+    one per failed residual check.  Every record's centralities, step 0's
+    included, pass its residual check; ArithmeticError if they cannot.
     """
     cfg = cfg or BrdConfig()
     require_feasible(g, w0)
@@ -174,13 +179,12 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
     if limit is None and not modified:
         limit = STEP_LIMIT_FACTOR * g.n
 
-    a = np.array(w0.weights)  # row i takes agent i's moves in place
-    c = katz_solve(a)
+    resolvent = Resolvent(w0)  # the run's profile: every move goes in by replace_row
+    c = resolvent.centralities
     gaps = improvement_gaps(g, c)
     residual = float(np.max(np.abs(gaps)))
     steps = [_record(0, None, None, c, residual)]
     state = cfg.scheduler.start(g.n)
-    resolvent = None  # built at the first best-response step
     k = 0
     while True:
         improvers = np.flatnonzero(gaps > cfg.tol).tolist() if modified else None
@@ -196,12 +200,9 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
             break
         k += 1
         if cfg.lazy and gaps[i] <= cfg.tol:  # never true for a modified-mode improver
-            row = a[i].copy()
+            row = resolvent.row(i)
         else:
-            if resolvent is None:
-                resolvent = Resolvent(a)  # a copy: its updates are taken against it
             row = best_response(resolvent.decomposition(g, i)).canonical
-            a[i] = row
             c_prev = c
             c = resolvent.replace_row(i, row)
             gaps = improvement_gaps(g, c)
@@ -211,7 +212,7 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
                     f"step {k}: centrality of agent {i + 1} did not strictly increase"
                 )
         steps.append(_record(k, i, row, c, residual))
-    return BrdTrace(tuple(steps), AllocationProfile(a), status, k, cfg)
+    return BrdTrace(tuple(steps), AllocationProfile(resolvent.weights()), status, k, cfg)
 
 
 # --- trace artifacts --------------------------------------------------------

@@ -271,21 +271,45 @@ class TestResolvent:
         res._m *= 1.0 + 1e-3
         row = np.array([0.0, 0.5])
         w = with_row(w, 0, row)
-        np.testing.assert_array_equal(res.replace_row(0, row), katz_solve(w))
+        c = res.replace_row(0, row)
         assert res.rebuilds == 1
+        np.testing.assert_array_equal(c, Resolvent(w).centralities)
+        assert np.max(np.abs(c - katz_solve(w))) <= CROSS_CHECK_TOL
         np.testing.assert_allclose(res._m, np.linalg.inv(np.eye(2) - w.weights), rtol=1e-14)
         # an update whose denominator is not positive rebuilds too
         res._m[:] = 0.0
         res._m[0, 0] = 10.0  # 1 - delta M e_1 = 1 - 0.4 * 10 < 0
         w = with_row(w, 0, np.array([0.4, 0.0]))
-        np.testing.assert_array_equal(res.replace_row(0, np.array([0.4, 0.0])), katz_solve(w))
+        c = res.replace_row(0, np.array([0.4, 0.0]))
         assert res.rebuilds == 2
+        np.testing.assert_array_equal(c, Resolvent(w).centralities)
+        assert np.max(np.abs(c - katz_solve(w))) <= CROSS_CHECK_TOL
         np.testing.assert_allclose(res._m, np.linalg.inv(np.eye(2) - w.weights), rtol=1e-14)
         # the rebuilt inverse serves the next update without a rebuild
         w = with_row(w, 1, np.array([0.0, 0.25]))
         c = res.replace_row(1, np.array([0.0, 0.25]))
         assert res.rebuilds == 2
         assert np.max(np.abs(c - katz_solve(w))) <= CROSS_CHECK_TOL
+        np.testing.assert_array_equal(res.weights(), w.weights)
+
+    def test_failed_check_on_a_fresh_factorization_raises(self, monkeypatch):
+        w = AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]]))
+        res = Resolvent(w)
+        monkeypatch.setattr(Resolvent, "_residual", lambda self, c: np.ones_like(c))
+        with pytest.raises(ArithmeticError, match="residual 1.0 exceeds bound after a fresh factorization"):
+            Resolvent(w)
+        with pytest.raises(ArithmeticError, match="after a fresh factorization"):
+            res.replace_row(0, np.array([0.0, 0.5]))
+        assert res.rebuilds == 1
+
+    def test_rows_read_back_exactly(self):
+        for seed in range(10):
+            g = random_game(seed, n_max=20, budget_lo=0.5, budget_hi=0.999)
+            w = random_feasible_profile(g, seed + 40)
+            res = Resolvent(w)
+            np.testing.assert_array_equal(res.weights(), w.weights)
+            for i in range(g.n):
+                np.testing.assert_array_equal(res.row(i), w.weights[i])
 
     def test_refinement_absorbs_small_drift(self):
         # a 1e-6 relative error in M leaves about 1e-12 after one refinement step

@@ -10,6 +10,7 @@ import pytest
 import katzforge
 from helpers import circulant_profile, complete_instance
 from katzforge import AllocationProfile, serialize_allocation, serialize_instance
+from katzforge.centrality import Resolvent
 from katzforge.cli import main
 
 I3_DOC = '{"n": 2, "edges": [[1, 1], [1, 2], [2, 1], [2, 2]], "budgets": [0.5, 0.25]}\n'
@@ -138,6 +139,17 @@ class TestRun:
         w0.write_text(serialize_allocation(AllocationProfile(np.array([[0.9, 0.0], [0.0, 0.0]]))))
         code = main(["run", str(i3_file), "--w0", f"file:{w0}", "-o", str(tmp_path / "t.csv")])
         assert code == 3
+
+    def test_failed_centrality_check_exits_1(self, i3_file, tmp_path, capsys, monkeypatch):
+        # every residual check fails, so the first one, on the resolvent
+        # factored from w0, raises
+        monkeypatch.setattr(Resolvent, "_residual", lambda self, c: np.ones_like(c))
+        code = main(["run", str(i3_file), "-o", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: centrality residual 1.0 exceeds bound after a fresh factorization\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
 
     def test_w0_from_file(self, i3_file, i3_ne_file, tmp_path):
         out = tmp_path / "t.csv"

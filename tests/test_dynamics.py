@@ -357,9 +357,9 @@ def solves(monkeypatch):
 class TestSolveCount:
     @pytest.mark.parametrize("mode", ["standard", "modified"])
     @pytest.mark.parametrize("lazy", [True, False])
-    def test_two_solves_per_run_that_responds(self, solves, mode, lazy):
-        # the step-0 katz_solve and one resolvent build per run that makes a
-        # best response; the steps take c from the resolvent and solve nothing
+    def test_one_solve_per_run(self, solves, mode, lazy):
+        # the resolvent build at step 0; the steps take c from its updates,
+        # whose checks all pass here, and solve nothing
         tol = 1e-10
         for seed in range(10):
             g = random_game(seed, n_max=20, budget_hi=0.99)
@@ -374,11 +374,12 @@ class TestSolveCount:
                 ) - c[step.agent]
                 responses += not (lazy and gap <= tol)
             assert responses > 0
-            assert solves == [g.n, g.n]
+            assert solves == [g.n]
 
-    def test_nash_start_builds_nothing(self, solves, i3, i3_ne):
-        run_brd(i3, i3_ne, BrdConfig(lazy=False))
-        assert len(solves) == 1
+    def test_nash_start_solves_once(self, solves, i3, i3_ne):
+        trace = run_brd(i3, i3_ne, BrdConfig(lazy=False))
+        assert trace.total_steps == 0
+        assert solves == [2]
 
     def test_dense_best_response_factors_once(self, solves, i3):
         best_response(walk_decomposition(i3, AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]])), 0))
@@ -421,10 +422,10 @@ class TestPublicRoute:
 
 
 class TestResidualFallback:
-    def test_failed_residual_check_records_katz_solve(self, monkeypatch):
+    def test_failed_residual_check_refactors(self, monkeypatch):
         # an inverse perturbed beyond what one refinement step repairs gives
-        # a c whose residual fails the check: the step must record
-        # katz_solve's c and rebuild the inverse
+        # a c whose residual fails the check: the step must refactor the
+        # inverse and record the refactored resolvent's certified c
         built = []
         init = Resolvent.__init__
 
@@ -442,16 +443,40 @@ class TestResidualFallback:
             first = trace.steps[1]  # every modified-mode step is a move
             [resolvent] = built
             assert resolvent.rebuilds == 1
-            c = katz_solve(with_row(w0, first.agent, first.row))
-            gaps = improvement_gaps(g, c)
-            np.testing.assert_array_equal(first.centralities, c)
-            assert first.residual == float(np.max(np.abs(gaps)))
+            w = with_row(w0, first.agent, first.row)
+            fresh = Resolvent.__new__(Resolvent)
+            init(fresh, w)
+            np.testing.assert_array_equal(first.centralities, fresh.centralities)
+            want = katz_solve(w)
+            bound = CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
+            assert np.max(np.abs(first.centralities - want)) <= bound
+            assert first.residual == float(np.max(np.abs(improvement_gaps(g, first.centralities))))
             assert trace.converged
+
+    def test_failed_check_after_refactor_raises(self, monkeypatch):
+        # from the first update on, every residual is 1 whatever c is: the
+        # update's check fails and refactors M, and the check on the fresh
+        # factorization raises
+        residual, replace_row = Resolvent._residual, Resolvent.replace_row
+        armed = []
+
+        def arming(self, i, row):
+            armed.append(i)
+            return replace_row(self, i, row)
+
+        monkeypatch.setattr(Resolvent, "replace_row", arming)
+        monkeypatch.setattr(
+            Resolvent, "_residual", lambda self, c: np.ones_like(c) if armed else residual(self, c)
+        )
+        g = random_game(2)
+        with pytest.raises(ArithmeticError, match="exceeds bound after a fresh factorization"):
+            run_brd(g, random_feasible_profile(g, 23), BrdConfig(mode="modified"))
+        assert len(armed) == 1
 
 
 class TestWeightMatrix:
-    """Moves go into one weight matrix; records and the terminal profile
-    never share memory with it or with each other."""
+    """Moves go into the resolvent's profile; records and the terminal
+    profile never share memory with it or with each other."""
 
     @staticmethod
     def _runs():
@@ -566,7 +591,7 @@ class TestTraceArtifacts:
         assert path.read_bytes() == (
             b"# seed=9 tol=1e-10\n"
             b"step,agent,residual,c_1,c_2\r\n"
-            b"0,,0.3125,0.375,0.1875\r\n"
+            b"0,,0.31249999999999994,0.37500000000000006,0.18750000000000003\r\n"
             b"1,1,0.27777777777777773,1,0.22222222222222227\r\n"
             b"2,2,0,1,0.5\r\n"
         )
