@@ -1,4 +1,5 @@
-"""The conformance corpus: what ``run_brd`` records on a fixed set of games.
+"""The conformance corpus: what ``run_brd`` and the structure checks give on
+a fixed set of games.
 
 Each file under ``tests/corpus/`` holds one game, its random start profile
 and schedules, and the trace of every run in the grid both modes x
@@ -8,6 +9,15 @@ start.  ``tests/test_corpus.py`` reruns the grid and compares in two classes:
 - exact: agents, rows, status, step counts and terminal weights;
 - within ``CROSS_CHECK_TOL`` * max(1, max c) of the stored record:
   centralities and residuals.
+
+Each file under ``tests/corpus/structure/`` holds, for the game of that name
+with n <= 16, its equilibrium centralities c* with their iteration count
+and, for each profile of ``structure_profiles``, the ``run_structure_checks``
+report, the condensation and the parity classes.  The test compares
+c* and every float of a report or condensation within ``CROSS_CHECK_TOL``
+* max(1, max c) (c* or the profile's Katz centralities), and everything
+else exactly: iteration counts, statuses, rules, witness agents, edges and
+cycles, SCCs, sinks, condensation edges and parity classes.
 
 Agents and columns are 0-based; rows and weights are stored as (j, weight)
 pairs of their positive entries.  Each run stores its status and step
@@ -20,34 +30,40 @@ Regenerate from the repository root with
 
     PYTHONPATH=src python tests/regenerate_corpus.py
 
-It prints every stored value that would move (game, run, field, old -> new)
-before it rewrites the files.  A deliberate change of contract regenerates
-the corpus in the same change and names the values that moved; a failing
-comparison is never by itself a reason to regenerate.
+It prints every stored value that would move (game, run or profile, field,
+old -> new) before it rewrites the files.  A deliberate change of contract
+regenerates the corpus in the same change and names the values that moved;
+a failing comparison is never by itself a reason to regenerate.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from helpers import circulant_profile
 from katzforge import (
     AllocationProfile,
     BrdConfig,
     GameInstance,
     Scheduler,
+    equilibrium_centralities,
     generate_random_instance,
+    parity_classes,
     parse_instance,
     random_profile,
     run_brd,
+    run_structure_checks,
     serialize_instance,
     topology_from_edges,
 )
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
+STRUCTURE_DIR = CORPUS_DIR / "structure"
 
 # 1000 times below CROSS_CHECK_TOL (tests/helpers.py)
 DEAD_BAND = 1e-13
@@ -236,8 +252,64 @@ def _write(doc: dict, path: Path) -> None:
     path.write_text("{\n" + ",\n".join(parts) + "}\n", encoding="utf-8")
 
 
+def structure_profiles(g: GameInstance, doc: dict) -> dict[str, AllocationProfile]:
+    """The profiles the structure slice analyses on the corpus game ``doc``:
+    its stored modified round-robin lazy zero-start terminal, its stored
+    random start profile and, on a symmetric topology,
+    ``circulant_profile(g, 5, 1)``."""
+    case = {"mode": "modified", "scheduler": "rr", "lazy": True, "w0": "zero"}
+    run = next(r for r in doc["runs"] if {k: r[k] for k in case} == case)
+    profiles = {
+        "terminal": AllocationProfile(decode(doc, run)["terminal"]),
+        "random": AllocationProfile(np.array([_dense(pairs, g.n) for pairs in doc["w0"]])),
+    }
+    if g.topology.is_symmetric():
+        profiles["circulant"] = circulant_profile(g, 5, 1)
+    return profiles
+
+
+def structure_record(g: GameInstance, w: AllocationProfile) -> dict:
+    """What the structure slice stores for the profile ``w`` of ``g``, as
+    JSON values: 0-based SCCs and classes, 1-based report agents."""
+    report, cond = run_structure_checks(g, w)
+    return json.loads(
+        json.dumps(
+            {
+                **report.to_json_dict(),
+                "condensation": {
+                    "components": [asdict(comp) for comp in cond.components],
+                    "edges": sorted(cond.edges),
+                },
+                "parity_classes": parity_classes(w),
+            }
+        )
+    )
+
+
+def structure_doc(g: GameInstance, doc: dict) -> dict:
+    cert = equilibrium_centralities(g)
+    return {
+        "c_star": cert.c_star.tolist(),
+        "iterations": cert.iterations,
+        "profiles": {name: structure_record(g, w) for name, w in structure_profiles(g, doc).items()},
+    }
+
+
+def mismatches(old, new, bound: float, where: str = "") -> list[str]:
+    """Every value of the JSON tree ``old`` that ``new`` does not match, one
+    line each: floats within ``bound``, everything else exactly."""
+    if isinstance(old, float) and isinstance(new, float):
+        return [] if abs(old - new) <= bound else [f"{where}: {old!r} -> {new!r}"]
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        return [line for key in old for line in mismatches(old[key], new[key], bound, f"{where}.{key}")]
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [line for k, (x, y) in enumerate(zip(old, new)) for line in mismatches(x, y, bound, f"{where}[{k}]")]
+    return [] if type(old) is type(new) and old == new else [f"{where}: {old!r} -> {new!r}"]
+
+
 def main() -> None:
     CORPUS_DIR.mkdir(exist_ok=True)
+    STRUCTURE_DIR.mkdir(exist_ok=True)
     for k, (name, (g, w0)) in enumerate(_games().items()):
         path = CORPUS_DIR / f"{name}.json"
         doc = _generate(g, w0, 200 + k)
@@ -247,6 +319,16 @@ def main() -> None:
         else:
             print(f"{name}: new game")
         _write(doc, path)
+        if g.n > 16:
+            continue
+        path = STRUCTURE_DIR / f"{name}.json"
+        structure = structure_doc(g, doc)
+        if path.exists():
+            for line in mismatches(json.loads(path.read_text(encoding="utf-8")), structure, 0.0):
+                print(f"{name} structure{line}")
+        else:
+            print(f"{name}: new structure record")
+        path.write_text(json.dumps(structure, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

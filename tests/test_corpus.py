@@ -1,4 +1,5 @@
-"""``run_brd`` against the stored conformance corpus (see regenerate_corpus.py)."""
+"""``run_brd`` and the structure checks against the stored conformance corpus
+(see regenerate_corpus.py)."""
 
 import json
 
@@ -6,19 +7,36 @@ import numpy as np
 import pytest
 
 from helpers import CROSS_CHECK_TOL
-from regenerate_corpus import CORPUS_DIR, GRID, case_name, decode, game_of, run_case
+from katzforge import equilibrium_centralities, katz_solve
+from regenerate_corpus import (
+    CORPUS_DIR,
+    GRID,
+    STRUCTURE_DIR,
+    case_name,
+    decode,
+    game_of,
+    mismatches,
+    run_case,
+    structure_profiles,
+    structure_record,
+)
 
 GAMES = sorted(path.stem for path in CORPUS_DIR.glob("*.json"))
+STRUCTURE_GAMES = sorted(path.stem for path in STRUCTURE_DIR.glob("*.json"))
+
+
+def _read(path):
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_corpus_is_small():
-    assert len(GAMES) == 8
-    assert sum((CORPUS_DIR / f"{name}.json").stat().st_size for name in GAMES) <= 1_000_000
+    assert (len(GAMES), len(STRUCTURE_GAMES)) == (8, 6)
+    assert sum(path.stat().st_size for path in CORPUS_DIR.rglob("*.json")) <= 1_000_000
 
 
 @pytest.mark.parametrize("name", GAMES)
 def test_runs_match_corpus(name):
-    doc = json.loads((CORPUS_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    doc = _read(CORPUS_DIR / f"{name}.json")
     g = game_of(doc)
     assert [{k: run[k] for k in GRID[0]} for run in doc["runs"]] == GRID
     for run in doc["runs"]:
@@ -33,3 +51,18 @@ def test_runs_match_corpus(name):
             bound = CROSS_CHECK_TOL * max(1.0, float(np.max(c)))
             assert np.max(np.abs(s.centralities - c)) <= bound, (where, s.step)
             assert abs(s.residual - residual) <= bound, (where, s.step)
+
+
+@pytest.mark.parametrize("name", STRUCTURE_GAMES)
+def test_structure_checks_match_corpus(name):
+    doc, want = _read(CORPUS_DIR / f"{name}.json"), _read(STRUCTURE_DIR / f"{name}.json")
+    g = game_of(doc)
+    cert = equilibrium_centralities(g)
+    assert cert.iterations == want["iterations"]
+    bound = CROSS_CHECK_TOL * max(1.0, float(np.max(cert.c_star)))
+    assert mismatches(want["c_star"], cert.c_star.tolist(), bound, "c_star") == []
+    profiles = structure_profiles(g, doc)
+    assert list(profiles) == list(want["profiles"])
+    for label, w in profiles.items():
+        bound = CROSS_CHECK_TOL * max(1.0, float(np.max(katz_solve(w))))
+        assert mismatches(want["profiles"][label], structure_record(g, w), bound, label) == []
