@@ -106,41 +106,24 @@ class _Support:
 
     def shortest_path(self, source: int, target: int, avoid: int) -> list[int]:
         """A shortest source ~> target path (source != target) that never
-        enters ``avoid``, by bidirectional breadth-first search: the fringe
-        that is no larger grows by one level (the forward one on a tie),
-        neighbors are read in ascending order, and the search stops at the
-        first agent both sides have seen.  Every choice is fixed, so the
-        path is too: the tests pin it to a reference search."""
-
-        def grow(fringe, adjacent, seen, other):
-            # one level; seen maps each agent to its neighbor one level back
-            grown = []
-            for a in fringe:
-                for b in adjacent[a]:
-                    if b == avoid:
-                        continue
-                    if b not in seen:
-                        seen[b] = a
-                        grown.append(b)
-                    if b in other:
-                        return grown, b
-            return grown, None
-
-        pred_of, succ_of = {source: None}, {target: None}
-        forward, reverse = [source], [target]
-        while forward and reverse:
-            if len(forward) <= len(reverse):
-                forward, meet = grow(forward, self.succ, pred_of, succ_of)
-            else:
-                reverse, meet = grow(reverse, self.pred, succ_of, pred_of)
-            if meet is not None:
-                path = [meet]
-                while pred_of[path[-1]] is not None:
-                    path.append(pred_of[path[-1]])
-                path.reverse()
-                while succ_of[path[-1]] is not None:
-                    path.append(succ_of[path[-1]])
-                return path
+        enters ``avoid``, by breadth-first search from ``source``: successors
+        are read in ascending order, each agent keeps the first agent that
+        reached it, and the search stops when it reaches ``target``.  That
+        is the path of networkx's ``bfs_predecessors`` on the support with
+        its edges inserted row-major, which the tests pin it to."""
+        reached_from = {source: None}
+        fringe = [source]
+        for a in fringe:  # the list grows while it is read
+            for b in self.succ[a]:
+                if b == avoid or b in reached_from:
+                    continue
+                reached_from[b] = a
+                if b == target:
+                    path = [b]
+                    while reached_from[path[-1]] is not None:
+                        path.append(reached_from[path[-1]])
+                    return path[::-1]
+                fringe.append(b)
         raise ValueError(f"no path from {source} to {target} avoiding {avoid}")
 
 
@@ -454,7 +437,9 @@ def check_cycle_parity(
     time: each parity class (see ``parity_classes``) must have a budget
     spread within ``BUDGET_EQ_TOL`` and a centrality spread within ``tol``.
     A failing class gives one witness with its rule, its members and a simple
-    cycle that starts with the class's worst 2-path."""
+    cycle: the class's worst 2-path u -> v -> x, closed by the shortest
+    x ~> u path avoiding v that a breadth-first search from x, reading
+    successors in ascending order, reaches first."""
     name = "cycle-parity"
     require_tol(tol)
     _require_sizes(g.n, w, centralities=centralities)

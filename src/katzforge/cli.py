@@ -113,6 +113,8 @@ def _parse_seeds(spec: str) -> range:
         raise click.UsageError(f"--seeds must look like LO:HI with integers, got {spec!r}")
     if lo > hi:
         raise click.UsageError(f"--seeds LO:HI needs LO <= HI, got {spec!r}")
+    if lo < 0:
+        raise click.UsageError(f"--seeds needs non-negative seeds, got {spec!r}")
     return range(lo, hi + 1)
 
 
@@ -148,7 +150,7 @@ def cli() -> None:
 @click.option("--density", type=float, default=1.0, show_default=True, help="Edge probability for ordered non-self pairs.")
 @click.option("--self-loops", is_flag=True, help="Add a self-loop for every agent.")
 @click.option("--budgets", "budget_spec", default="0.1:0.9", show_default=True, help="Budget range LO:HI inside (0, 1).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("-o", "--out", type=click.Path(dir_okay=False), required=True, help="Instance file to write.")
 def gen(n: int, density: float, self_loops: bool, budget_spec: str, seed: int, out: str) -> None:
     """Generate a random instance (deterministic for a fixed seed)."""
@@ -184,13 +186,13 @@ def equilibrium(instance: str, tol: float, out: str | None) -> None:
 @click.argument("instance", type=click.Path(exists=True, dir_okay=False))
 @click.option("--mode", type=click.Choice(["standard", "modified"]), default="standard", show_default=True)
 @click.option("--scheduler", "scheduler_spec", default="rr", show_default=True, help="rr, random, or seq:1,2,3 (agents 1-based).")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for the scheduler and random initial profiles.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for the scheduler and random initial profiles.")
 @click.option("--w0", "w0_spec", default="zero", show_default=True, help="Initial profile: zero, random, or file:PATH.")
 @click.option("--max-steps", type=int, default=None, help="Step limit (default 500*n for standard mode).")
 @_tol_option
 @click.option("--lazy/--no-lazy", default=True, show_default=True, help="Skip rewriting rows that already best-respond.")
 @click.option("--full-trace", is_flag=True, help="Also write per-step allocation rows to a sibling .alloc.json file.")
-@click.option("--seeds", "seeds_spec", default=None, help="Batch mode: run integer seeds LO:HI inclusive (LO <= HI), one trace per seed.")
+@click.option("--seeds", "seeds_spec", default=None, help="Batch mode: run integer seeds LO:HI inclusive (0 <= LO <= HI), one trace per seed.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Parallel workers in batch mode.")
 @click.option("-o", "--out", type=click.Path(dir_okay=False), required=True, help="Trace CSV path (batch mode appends -seedN).")
 def run(

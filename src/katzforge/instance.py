@@ -40,6 +40,8 @@ class FeasibilityError(KatzforgeError, ValueError):
 
 def _philox(seed: int) -> np.random.Generator:
     # Counter-based 64-bit generator: bit-reproducible across platforms.
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 

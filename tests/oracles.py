@@ -9,13 +9,16 @@ full solve per single-edge allocation, c* by value iteration rather than
 policy iteration, strongly connected components by transitive closure, and
 cycle-parity classes by enumerating simple cycles, so results can be checked
 against genuinely different computations.  The ``*_nx`` routines are the
-structure checks' former networkx forms (SCCs, condensation, parity classes
-and the witness back-path by ``nx.shortest_path``), which the CSR routes
-must match exactly.  ``v_map_dense`` and ``equilibrium_dense_oracle`` keep
-the dense-mask forms of the v map and of policy iteration, which the CSR
-routes must match bitwise, and ``brd_reference`` keeps the dense two-loop
-form of the dynamics (one loop per mode), whose agents, rows and terminal
-weights ``run_brd`` must reproduce bitwise.  ``ScheduleReference`` keeps
+structure checks' former networkx forms (SCCs, condensation and parity
+classes), which the CSR routes must match exactly; ``bfs_path_nx`` takes a
+witness back-path from networkx's breadth-first tree (``bfs_predecessors``)
+on the support with its edges inserted row-major, which
+``_Support.shortest_path`` must match exactly.  ``v_map_dense`` and
+``equilibrium_dense_oracle`` keep the dense-mask forms of the v map and of
+policy iteration, which the CSR routes must match bitwise, and
+``brd_reference`` keeps the dense two-loop form of the dynamics (one loop
+per mode), whose agents, rows and terminal weights ``run_brd`` must
+reproduce bitwise.  ``ScheduleReference`` keeps
 the per-kind branches of the agent scheduler, whose picks
 ``Scheduler.start(n)`` must reproduce exactly.
 """
@@ -488,6 +491,17 @@ def support_digraph_nx(w: AllocationProfile) -> nx.DiGraph:
     return digraph
 
 
+def bfs_path_nx(support: nx.DiGraph, source: int, target: int, avoid: int) -> list[int]:
+    """The source ~> target path (source != target) of networkx's
+    breadth-first tree from ``source`` on ``support`` without ``avoid``:
+    each agent's parent is the first agent that reached it."""
+    parent = dict(nx.bfs_predecessors(nx.restricted_view(support, [avoid], []), source))
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
 def scc_condensation_nx(
     w: AllocationProfile,
     budgets: tuple[float, ...] | None = None,
@@ -571,7 +585,9 @@ def check_cycle_parity_nx(
     time: each parity class (see ``parity_classes``) must have a budget
     spread within ``BUDGET_EQ_TOL`` and a centrality spread within ``tol``.
     A failing class gives one witness with its rule, its members and a simple
-    cycle that starts with the class's worst 2-path."""
+    cycle: the class's worst 2-path u -> v -> x, closed by the shortest
+    x ~> u path avoiding v that a breadth-first search from x, reading
+    successors in ascending order, reaches first."""
     name = "cycle-parity"
     if not g.topology.is_symmetric():
         return CheckResult(name, INAPPLICABLE, details={"reason": "underlying topology not symmetric"})
@@ -588,7 +604,7 @@ def check_cycle_parity_nx(
             if vals.max() - vals.min() > bound:
                 u, v, x = rows[np.argmax(np.abs(values[rows[:, 0]] - values[rows[:, 2]]))].tolist()
                 # the worst 2-path, closed by a shortest x ~> u path avoiding v
-                back = nx.shortest_path(nx.restricted_view(support, [v], []), x, u)
+                back = bfs_path_nx(support, x, u, avoid=v)
                 witnesses.append(
                     {
                         "rule": rule,

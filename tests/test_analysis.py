@@ -35,6 +35,7 @@ from katzforge import (
 from katzforge import analysis
 from katzforge.analysis import _parity_two_paths, _Support
 from oracles import (
+    bfs_path_nx,
     check_cycle_parity_nx,
     cycle_parity_oracle,
     parity_two_paths_nx,
@@ -416,7 +417,9 @@ class TestAgainstNetworkx:
         ties = 0
         for u, v, x in np.random.default_rng(seed).permutation(rows)[:6].tolist():
             view = nx.restricted_view(digraph, [v], [])
-            assert support.shortest_path(x, u, avoid=v) == nx.shortest_path(view, x, u)
+            back = support.shortest_path(x, u, avoid=v)
+            assert back == bfs_path_nx(digraph, x, u, avoid=v)
+            assert len(back) == len(nx.shortest_path(view, x, u))
             ties += len(list(itertools.islice(nx.all_shortest_paths(view, x, u), 2))) > 1
         return ties
 

@@ -58,6 +58,11 @@ class TestGen:
     def test_bad_budget_spec_is_usage_error(self, tmp_path):
         assert main(["gen", "--n", "3", "--budgets", "nope", "-o", str(tmp_path / "x")]) == 1
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert main(["gen", "--n", "3", "--seed", "-1", "-o", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.endswith("Error: Invalid value for '--seed': -1 is not in the range x>=0.\n")
+        assert not (tmp_path / "x").exists()
+
 
 class TestEquilibrium:
     def test_two_agent_certificate(self, i3_file, capsys):
@@ -198,12 +203,26 @@ class TestRun:
         [
             (["--w0", "bogus"], "unknown --w0 'bogus'; expected zero, random, or file:PATH"),
             (["--scheduler", "seq:1,x"], "bad explicit schedule 'seq:1,x'; expected seq:1,2,3"),
+            (["--seed", "-1"], "Invalid value for '--seed': -1 is not in the range x>=0."),
+            (["--seeds", "-2:-1"], "--seeds needs non-negative seeds, got '-2:-1'"),
         ],
-        ids=["w0", "explicit-schedule"],
+        ids=["w0", "explicit-schedule", "seed-negative", "seeds-negative"],
     )
     def test_bad_option_value_is_usage_error(self, i3_file, tmp_path, capsys, flags, message):
         assert main(["run", str(i3_file), *flags, "-o", str(tmp_path / "t.csv")]) == 1
         assert capsys.readouterr().err.endswith(f"Error: {message}\n")
+        assert not list(tmp_path.glob("t*.csv"))
+
+    @pytest.mark.parametrize("flag", ["--w0", "--scheduler"])
+    def test_line_break_in_trace_header_is_error(self, i3_file, i3_ne_file, tmp_path, capsys, flag):
+        if flag == "--w0":
+            w0 = tmp_path / "a\nb.json"
+            w0.write_bytes(i3_ne_file.read_bytes())
+            value = f"file:{w0}"
+        else:
+            value = "seq:1,2\n"
+        assert main(["run", str(i3_file), flag, value, "-o", str(tmp_path / "t.csv")]) == 1
+        assert "contains a line break" in capsys.readouterr().err
         assert not list(tmp_path.glob("t*.csv"))
 
     def test_explicit_schedule(self, i3_file, tmp_path):

@@ -445,6 +445,13 @@ class TestGenerator:
         with pytest.raises(ValueError, match="budget_range"):
             generate_random_instance(3, 0.5, True, (0.0, 0.9), seed=0)
 
+    def test_negative_seed_is_named(self, i3):
+        message = "seed must be a non-negative integer, got -1"
+        with pytest.raises(ValueError, match=message):
+            generate_random_instance(3, 0.5, True, (0.3, 0.7), seed=-1)
+        with pytest.raises(ValueError, match=message):
+            random_profile(i3, seed=-1)
+
     def test_pinned_output_digest(self):
         # one Philox stream per seed: pair draws in row-major order, then one
         # draw per empty row in ascending agent order, then the budgets
