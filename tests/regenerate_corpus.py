@@ -1,10 +1,15 @@
 """The conformance corpus: what ``run_brd`` and the structure checks give on
 a fixed set of games.
 
-Each file under ``tests/corpus/`` holds one game, its random start profile
-and schedules, and the trace of every run in the grid both modes x
-round-robin/uniform-random/explicit schedules x lazy on/off x zero/random
-start.  ``tests/test_corpus.py`` reruns the grid and compares in two classes:
+Each corpus file is one JSON document compressed with ``lzma``; read one
+with ``python -c "import lzma, sys; print(lzma.open(sys.argv[1], 'rt').read())" FILE``.
+
+Each file ``tests/corpus/<game>.json.xz`` holds one game, its random start
+profile and schedules, and under ``runs``, keyed by ``case_name``, the record
+of every run in the grid both modes x round-robin/uniform-random/explicit
+schedules x lazy on/off x zero/random start: status, step count, and per
+record the agent, row, residual and every centrality.  ``tests/test_corpus.py``
+reruns the grid and compares in two classes:
 
 - exact: agents, rows, status, step counts and terminal weights;
 - within ``CROSS_CHECK_TOL`` * max(1, max c) of the stored record:
@@ -20,25 +25,23 @@ else exactly: iteration counts, statuses, rules, witness agents, edges and
 cycles, SCCs, sinks, condensation edges and parity classes.
 
 Agents and columns are 0-based; rows and weights are stored as (j, weight)
-pairs of their positive entries.  Each run stores its status and step
-count and, for each other field, an index into that field's list of
-distinct values, which runs share.  A record's centralities are stored as the entries that moved
-by more than ``DEAD_BAND`` * max(1, max c) since the value last stored for
-them, so a decoded value is within that of the run's own.
+pairs of their positive entries.
 
 Regenerate from the repository root with
 
     PYTHONPATH=src python tests/regenerate_corpus.py
 
-It prints every stored value that would move (game, run or profile, field,
-old -> new) before it rewrites the files.  A deliberate change of contract
-regenerates the corpus in the same change and names the values that moved;
-a failing comparison is never by itself a reason to regenerate.
+It prints every stored value that moves (file, then the value's path in
+the document: old -> new) and rewrites only the files whose content moved.
+A deliberate change of contract regenerates the corpus in the same change
+and names the values that moved; a failing comparison is never by itself a
+reason to regenerate.
 """
 
 from __future__ import annotations
 
 import json
+import lzma
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -64,9 +67,6 @@ from katzforge import (
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 STRUCTURE_DIR = CORPUS_DIR / "structure"
-
-# 1000 times below CROSS_CHECK_TOL (tests/helpers.py)
-DEAD_BAND = 1e-13
 
 GRID = [
     {"mode": mode, "scheduler": scheduler, "lazy": lazy, "w0": w0}
@@ -112,11 +112,13 @@ def _pairs(row: np.ndarray) -> list[list]:
     return [[j, float(row[j])] for j in np.flatnonzero(row).tolist()]
 
 
-def _dense(pairs: list[list], n: int) -> np.ndarray:
-    row = np.zeros(n)
-    for j, x in pairs:
-        row[j] = x
-    return row
+def _profile(rows: list[list[list]], n: int) -> AllocationProfile:
+    """The profile whose rows are stored as (j, weight) pairs."""
+    w = np.zeros((n, n))
+    for i, pairs in enumerate(rows):
+        for j, x in pairs:
+            w[i, j] = x
+    return AllocationProfile(w)
 
 
 def game_of(doc: dict) -> GameInstance:
@@ -134,55 +136,20 @@ def run_case(g: GameInstance, doc: dict, case: dict):
     if case["w0"] == "zero":
         w0 = AllocationProfile.zeros(g.n)
     else:
-        w0 = AllocationProfile(np.array([_dense(pairs, g.n) for pairs in doc["w0"]]))
+        w0 = _profile(doc["w0"], g.n)
     return run_brd(g, w0, BrdConfig(scheduler=scheduler, lazy=case["lazy"], mode=case["mode"]))
 
 
-POOLED = ("agents", "rows", "residuals", "centralities", "terminal")
-
-
-def encode(trace) -> dict:
-    stored = None
-    centralities = []
-    for s in trace.steps:
-        c = s.centralities
-        if stored is None:
-            moved = np.arange(len(c))
-            stored = c.copy()
-        else:
-            moved = np.flatnonzero(np.abs(c - stored) > DEAD_BAND * max(1.0, float(np.max(c))))
-            stored[moved] = c[moved]
-        centralities.append([[j, float(c[j])] for j in moved.tolist()])
+def run_record(trace) -> dict:
+    """What the run slice stores for ``trace``, as JSON values."""
     return {
         "status": trace.status,
         "total_steps": trace.total_steps,
         "agents": [s.agent for s in trace.steps],
         "rows": [None if s.row is None else _pairs(s.row) for s in trace.steps],
-        "residuals": [s.residual for s in trace.steps],
-        "centralities": centralities,
+        "residuals": [float(s.residual) for s in trace.steps],
+        "centralities": [s.centralities.tolist() for s in trace.steps],
         "terminal": [_pairs(row) for row in trace.terminal.weights],
-    }
-
-
-def decode(doc: dict, run: dict) -> dict:
-    """The stored trace of ``run``, with rows, terminal weights and
-    centralities as dense arrays."""
-    n = doc["instance"]["n"]
-    stored = {field: doc[field][run[field]] for field in POOLED}
-    c = np.zeros(n)
-    centralities = []
-    for moved in stored["centralities"]:
-        for j, x in moved:
-            c[j] = x
-        centralities.append(c.copy())
-    return {
-        "status": run["status"],
-        "total_steps": run["total_steps"],
-        "agents": stored["agents"],
-        "rows": [None if r is None else _dense(r, n) for r in stored["rows"]],
-        "residuals": stored["residuals"],
-        "centralities": centralities,
-        "terminal": np.array([_dense(r, n) for r in stored["terminal"]]),
     }
 
 
@@ -197,59 +164,9 @@ def _generate(g: GameInstance, w0: AllocationProfile, seed: int) -> dict:
         "w0": [_pairs(row) for row in w0.weights],
         "scheduler_seed": seed,
         "sequence": np.random.default_rng(seed).integers(g.n, size=4 * g.n).tolist(),
-        "runs": [],
-        **{field: [] for field in POOLED},
     }
-    for case in GRID:
-        run = {**case, **encode(run_case(g, doc, case))}
-        for field in POOLED:
-            pool = doc[field]
-            if run[field] not in pool:
-                pool.append(run[field])
-            run[field] = pool.index(run[field])
-        doc["runs"].append(run)
+    doc["runs"] = {case_name(case): run_record(run_case(g, doc, case)) for case in GRID}
     return doc
-
-
-def _moves(old: dict, new: dict) -> list[str]:
-    """Every stored value of ``old`` that differs in ``new``, one line each."""
-    lines = []
-    old_runs = {case_name(r): decode(old, r) for r in old["runs"]}
-    for r in new["runs"]:
-        name = case_name(r)
-        if name not in old_runs:
-            lines.append(f"{name}: new run")
-            continue
-        a, b = old_runs[name], decode(new, r)
-        for field in ("status", "total_steps"):
-            if a[field] != b[field]:
-                lines.append(f"{name} {field}: {a[field]!r} -> {b[field]!r}")
-        for field in ("agents", "rows", "residuals", "centralities"):
-            if len(a[field]) != len(b[field]):
-                lines.append(f"{name} {field}: {len(a[field])} -> {len(b[field])} records")
-            for k, (x, y) in enumerate(zip(a[field], b[field])):
-                if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
-                    lines += [
-                        f"{name} {field}[{k}][{j}]: {x[j]!r} -> {y[j]!r}"
-                        for j in np.flatnonzero(x != y).tolist()
-                    ]
-                elif x is not y and x != y:
-                    lines.append(f"{name} {field}[{k}]: {x!r} -> {y!r}")
-        for i, j in np.argwhere(a["terminal"] != b["terminal"]).tolist():
-            lines.append(f"{name} terminal[{i}][{j}]: {a['terminal'][i, j]!r} -> {b['terminal'][i, j]!r}")
-    return lines
-
-
-def _write(doc: dict, path: Path) -> None:
-    """Compact JSON with one top-level field, run or pooled value per line."""
-    parts = []
-    for key, value in doc.items():
-        if key == "runs" or key in POOLED:
-            items = ",\n".join(json.dumps(v, separators=(",", ":")) for v in value)
-            parts.append(f'"{key}":[\n{items}]')
-        else:
-            parts.append(f'"{key}":{json.dumps(value, separators=(",", ":"))}')
-    path.write_text("{\n" + ",\n".join(parts) + "}\n", encoding="utf-8")
 
 
 def structure_profiles(g: GameInstance, doc: dict) -> dict[str, AllocationProfile]:
@@ -257,11 +174,9 @@ def structure_profiles(g: GameInstance, doc: dict) -> dict[str, AllocationProfil
     its stored modified round-robin lazy zero-start terminal, its stored
     random start profile and, on a symmetric topology,
     ``circulant_profile(g, 5, 1)``."""
-    case = {"mode": "modified", "scheduler": "rr", "lazy": True, "w0": "zero"}
-    run = next(r for r in doc["runs"] if {k: r[k] for k in case} == case)
     profiles = {
-        "terminal": AllocationProfile(decode(doc, run)["terminal"]),
-        "random": AllocationProfile(np.array([_dense(pairs, g.n) for pairs in doc["w0"]])),
+        "terminal": _profile(doc["runs"]["modified/rr/lazy/w0=zero"]["terminal"], g.n),
+        "random": _profile(doc["w0"], g.n),
     }
     if g.topology.is_symmetric():
         profiles["circulant"] = circulant_profile(g, 5, 1)
@@ -297,38 +212,48 @@ def structure_doc(g: GameInstance, doc: dict) -> dict:
 
 def mismatches(old, new, bound: float, where: str = "") -> list[str]:
     """Every value of the JSON tree ``old`` that ``new`` does not match, one
-    line each: floats within ``bound``, everything else exactly."""
+    line each: floats within ``bound``, everything else exactly.  Lists of
+    different lengths get one line with both lengths, and then their common
+    prefix is compared."""
     if isinstance(old, float) and isinstance(new, float):
         return [] if abs(old - new) <= bound else [f"{where}: {old!r} -> {new!r}"]
     if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
         return [line for key in old for line in mismatches(old[key], new[key], bound, f"{where}.{key}")]
-    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        return [line for k, (x, y) in enumerate(zip(old, new)) for line in mismatches(x, y, bound, f"{where}[{k}]")]
+    if isinstance(old, list) and isinstance(new, list):
+        lines = [] if len(old) == len(new) else [f"{where}: length {len(old)} -> {len(new)}"]
+        return lines + [line for k, (x, y) in enumerate(zip(old, new)) for line in mismatches(x, y, bound, f"{where}[{k}]")]
     return [] if type(old) is type(new) and old == new else [f"{where}: {old!r} -> {new!r}"]
 
 
+def read(path: Path) -> dict:
+    return json.loads(lzma.decompress(path.read_bytes()))
+
+
+def _store(doc: dict, path: Path) -> None:
+    """Write ``doc`` to ``path`` unless the file holds it already, after
+    printing every stored value that moves.  Comparing the JSON text, not
+    the compressed bytes, keeps a file whose content did not move as it is
+    whichever liblzma wrote it."""
+    text = json.dumps(doc, separators=(",", ":"))
+    name = path.relative_to(CORPUS_DIR)
+    if not path.exists():
+        print(f"{name}: new file")
+    else:
+        old = lzma.decompress(path.read_bytes()).decode("utf-8")
+        if old == text:
+            return
+        for line in mismatches(json.loads(old), json.loads(text), 0.0):
+            print(f"{name} {line.lstrip('.')}")
+    path.write_bytes(lzma.compress(text.encode("utf-8")))
+
+
 def main() -> None:
-    CORPUS_DIR.mkdir(exist_ok=True)
-    STRUCTURE_DIR.mkdir(exist_ok=True)
+    STRUCTURE_DIR.mkdir(parents=True, exist_ok=True)
     for k, (name, (g, w0)) in enumerate(_games().items()):
-        path = CORPUS_DIR / f"{name}.json"
         doc = _generate(g, w0, 200 + k)
-        if path.exists():
-            for line in _moves(json.loads(path.read_text(encoding="utf-8")), doc):
-                print(f"{name} {line}")
-        else:
-            print(f"{name}: new game")
-        _write(doc, path)
-        if g.n > 16:
-            continue
-        path = STRUCTURE_DIR / f"{name}.json"
-        structure = structure_doc(g, doc)
-        if path.exists():
-            for line in mismatches(json.loads(path.read_text(encoding="utf-8")), structure, 0.0):
-                print(f"{name} structure{line}")
-        else:
-            print(f"{name}: new structure record")
-        path.write_text(json.dumps(structure, separators=(",", ":")) + "\n", encoding="utf-8")
+        _store(doc, CORPUS_DIR / f"{name}.json.xz")
+        if g.n <= 16:
+            _store(structure_doc(g, doc), STRUCTURE_DIR / f"{name}.json.xz")
 
 
 if __name__ == "__main__":
