@@ -225,10 +225,12 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
 
 def write_trace_csv(trace: BrdTrace, path, meta: dict | None = None) -> None:
     """The trace as CSV, one row per record, after a ``# key=value ...`` line
-    for ``meta``.  A key or value with a line break in it would end that line
-    early, so it raises ValueError before ``path`` is opened."""
+    for ``meta``.  A key or value with a line boundary in it, any that
+    ``str.splitlines`` splits on, would end that line early for a reader that
+    splits the file that way, so it raises ValueError before ``path`` is
+    opened."""
     for key, value in (meta or {}).items():
-        if any(c in f"{key}{value}" for c in "\r\n"):
+        if f"{key}={value}".splitlines() != [f"{key}={value}"]:
             raise ValueError(f"trace metadata {key}={value!r} contains a line break")
     n = trace.n
     row_format = "%d,%s" + ",%.17g" * (n + 1) + "\r\n"

@@ -1,5 +1,5 @@
-"""The conformance corpus: what ``run_brd`` and the structure checks give on
-a fixed set of games.
+"""The conformance corpus: what ``run_brd``, the structure checks and the
+CLI give on a fixed set of games.
 
 Each corpus file is one JSON document compressed with ``lzma``; read one
 with ``python -c "import lzma, sys; print(lzma.open(sys.argv[1], 'rt').read())" FILE``.
@@ -24,8 +24,14 @@ c* and every float of a report or condensation within ``CROSS_CHECK_TOL``
 else exactly: iteration counts, statuses, rules, witness agents, edges and
 cycles, SCCs, sinks, condensation edges and parity classes.
 
-Agents and columns are 0-based; rows and weights are stored as (j, weight)
-pairs of their positive entries.
+``tests/corpus/cli/cli.json.xz`` holds, for each game with n <= 16 and
+each mode, the exit code of ``katzforge run --mode MODE --w0 zero
+--full-trace`` and the lines of the ``.alloc.json`` it writes, and the exit
+code and instance file of ``katzforge gen`` for each of ``GEN_ARGS``.  The
+test compares all of them exactly.
+
+In the run slice, agents and columns are 0-based, and rows and weights are
+stored as (j, weight) pairs of their positive entries.
 
 Regenerate from the repository root with
 
@@ -40,9 +46,12 @@ reason to regenerate.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import lzma
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -64,9 +73,18 @@ from katzforge import (
     serialize_instance,
     topology_from_edges,
 )
+from katzforge.cli import main as cli_main
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 STRUCTURE_DIR = CORPUS_DIR / "structure"
+CLI_PATH = CORPUS_DIR / "cli" / "cli.json.xz"
+
+# three fixed argument sets of ``katzforge gen``, one with --self-loops
+GEN_ARGS = (
+    "--n 5 --seed 1",
+    "--n 8 --density 0.4 --self-loops --budgets 0.5:0.95 --seed 2",
+    "--n 12 --density 0.25 --budgets 0.2:0.6 --seed 3",
+)
 
 GRID = [
     {"mode": mode, "scheduler": scheduler, "lazy": lazy, "w0": w0}
@@ -210,6 +228,36 @@ def structure_doc(g: GameInstance, doc: dict) -> dict:
     }
 
 
+def _cli(args: list[str], out: Path) -> dict:
+    """The exit code of ``katzforge`` on ``args``, run in process, and the
+    lines of the file ``out`` it writes, exactly as written."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(args)
+    return {"exit_code": code, "lines": out.read_bytes().decode("utf-8").splitlines(keepends=True)}
+
+
+def cli_doc(games: dict[str, GameInstance]) -> dict:
+    """What the CLI slice stores: the instance file each ``gen`` of
+    ``GEN_ARGS`` writes and, for each of ``games`` and mode, the
+    ``.alloc.json`` that ``run --w0 zero --full-trace`` writes, each with its
+    exit code."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        doc = {"gen": {}, "run": {}}
+        for k, args in enumerate(GEN_ARGS):
+            out = tmp / f"gen{k}.json"
+            doc["gen"][args] = _cli(["gen", *args.split(), "-o", str(out)], out)
+        for name, g in games.items():
+            instance = tmp / f"{name}.json"
+            instance.write_text(serialize_instance(g), encoding="utf-8")
+            doc["run"][name] = {}
+            for mode in ("standard", "modified"):
+                csv = tmp / f"{name}-{mode}.csv"
+                args = ["run", str(instance), "--mode", mode, "--w0", "zero", "--full-trace", "-o", str(csv)]
+                doc["run"][name][mode] = _cli(args, csv.with_suffix(".alloc.json"))
+    return doc
+
+
 def mismatches(old, new, bound: float, where: str = "") -> list[str]:
     """Every value of the JSON tree ``old`` that ``new`` does not match, one
     line each: floats within ``bound``, everything else exactly.  Lists of
@@ -221,7 +269,8 @@ def mismatches(old, new, bound: float, where: str = "") -> list[str]:
         return [line for key in old for line in mismatches(old[key], new[key], bound, f"{where}.{key}")]
     if isinstance(old, list) and isinstance(new, list):
         lines = [] if len(old) == len(new) else [f"{where}: length {len(old)} -> {len(new)}"]
-        return lines + [line for k, (x, y) in enumerate(zip(old, new)) for line in mismatches(x, y, bound, f"{where}[{k}]")]
+        pairs = enumerate(zip(old, new))
+        return lines + [line for k, (x, y) in pairs for line in mismatches(x, y, bound, f"{where}[{k}]")]
     return [] if type(old) is type(new) and old == new else [f"{where}: {old!r} -> {new!r}"]
 
 
@@ -249,11 +298,15 @@ def _store(doc: dict, path: Path) -> None:
 
 def main() -> None:
     STRUCTURE_DIR.mkdir(parents=True, exist_ok=True)
+    CLI_PATH.parent.mkdir(exist_ok=True)
+    small = {}
     for k, (name, (g, w0)) in enumerate(_games().items()):
         doc = _generate(g, w0, 200 + k)
         _store(doc, CORPUS_DIR / f"{name}.json.xz")
         if g.n <= 16:
             _store(structure_doc(g, doc), STRUCTURE_DIR / f"{name}.json.xz")
+            small[name] = g
+    _store(cli_doc(small), CLI_PATH)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
-"""``run_brd`` and the structure checks against the stored conformance corpus
-(see regenerate_corpus.py): exact fields with ``==``, floats within
-``CROSS_CHECK_TOL`` * max(1, max c)."""
+"""``run_brd``, the structure checks and the CLI against the stored
+conformance corpus (see regenerate_corpus.py): floats within
+``CROSS_CHECK_TOL`` * max(1, max c) of the stored values, everything else
+exactly."""
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from helpers import CROSS_CHECK_TOL
 from katzforge import equilibrium_centralities, katz_solve
 from regenerate_corpus import (
+    CLI_PATH,
     CORPUS_DIR,
     GRID,
     STRUCTURE_DIR,
     case_name,
+    cli_doc,
     game_of,
     mismatches,
     read,
@@ -40,10 +43,12 @@ def test_runs_match_corpus(name):
         got, want = run_record(run_case(g, doc, case)), doc["runs"][where]
         for field in ("status", "total_steps", "agents", "rows", "terminal"):
             assert got[field] == want[field], (where, field)
-        for k, (c, want_c) in enumerate(zip(got["centralities"], want["centralities"])):
-            bound = CROSS_CHECK_TOL * max(1.0, max(want_c))
-            assert np.max(np.abs(np.subtract(c, want_c))) <= bound, (where, k)
-            assert abs(got["residuals"][k] - want["residuals"][k]) <= bound, (where, k)
+        # one bound per step; equal agents mean equal step counts
+        want_c = np.array(want["centralities"])
+        bound = CROSS_CHECK_TOL * np.maximum(1.0, want_c.max(axis=1))
+        off = np.abs(np.array(got["centralities"]) - want_c).max(axis=1) > bound
+        off |= np.abs(np.subtract(got["residuals"], want["residuals"])) > bound
+        assert not off.any(), (where, np.flatnonzero(off))
 
 
 @pytest.mark.parametrize("name", STRUCTURE_GAMES)
@@ -59,6 +64,13 @@ def test_structure_checks_match_corpus(name):
     for label, w in profiles.items():
         bound = CROSS_CHECK_TOL * max(1.0, float(np.max(katz_solve(w))))
         assert mismatches(want["profiles"][label], structure_record(g, w), bound, label) == []
+
+
+def test_cli_matches_corpus():
+    want = read(CLI_PATH)
+    assert sorted(want["run"]) == STRUCTURE_GAMES
+    games = {name: game_of(read(CORPUS_DIR / f"{name}.json.xz")) for name in want["run"]}
+    assert mismatches(want, cli_doc(games), 0.0) == []
 
 
 def test_mismatches_reports_lengths_and_common_prefix():

@@ -596,7 +596,10 @@ class TestTraceArtifacts:
             b"2,2,0,1,0.5\r\n"
         )
 
-    @pytest.mark.parametrize("meta", [{"w0": "file:a\nb.json"}, {"scheduler": "seq:1,2\r"}, {"a\nb": 1}])
+    @pytest.mark.parametrize(
+        "meta",
+        [{"w0": "file:a\nb.json"}, {"scheduler": "seq:1,2\r"}, {"a\nb": 1}, {"w0": "file:a\x0bb"}, {"w0": "file:a\u2028b"}],
+    )
     def test_csv_meta_with_line_break_is_rejected(self, i3, tmp_path, meta):
         trace = run_brd(i3, AllocationProfile.zeros(2), BrdConfig(tol=1e-10))
         path = tmp_path / "trace.csv"
