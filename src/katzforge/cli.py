@@ -165,7 +165,7 @@ def gen(n: int, density: float, self_loops: bool, budget_spec: str, seed: int, o
     g = GameInstance(g.topology, g.budgets, name=stamp)
     Path(out).write_text(serialize_instance(g), encoding="utf-8")
     click.echo(
-        f"wrote {out}: n={g.n} edges={len(g.topology.adj)} "
+        f"wrote {out}: n={g.n} edges={len(g.topology.neighbor_index[0])} "
         f"budgets=[{min(g.budgets):.4g}, {max(g.budgets):.4g}] seed={seed}"
     )
 

@@ -221,6 +221,11 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
 # row (step,agent,residual,c_1..c_n), floats at 17 significant digits, agents
 # 1-based, blank agent on the step-0 record; header and data rows end in
 # "\r\n".  No field ever needs quoting.
+#
+# A step moves few entries of c and a row has few nonzero weights, so both
+# writers format only those: the CSV keeps each c_j's cell until its bit
+# pattern changes (so -0.0 and 0.0 stay apart), and the JSON writes a
+# zero-bit weight as the constant "0.0".
 
 
 def write_trace_csv(trace: BrdTrace, path, meta: dict | None = None) -> None:
@@ -233,22 +238,33 @@ def write_trace_csv(trace: BrdTrace, path, meta: dict | None = None) -> None:
         if f"{key}={value}".splitlines() != [f"{key}={value}"]:
             raise ValueError(f"trace metadata {key}={value!r} contains a line break")
     n = trace.n
-    row_format = "%d,%s" + ",%.17g" * (n + 1) + "\r\n"
+    cells = [""] * n
+    bits = None  # the bit patterns whose formatting ``cells`` holds
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         header = ["step", "agent", "residual"] + [f"c_{j + 1}" for j in range(n)]
         fh.write(",".join(header) + "\r\n")
         for s in trace.steps:
+            c = s.centralities
+            changed = np.arange(n) if bits is None else np.flatnonzero(c.view(np.int64) != bits)
+            for j, v in zip(changed.tolist(), c[changed].tolist()):
+                cells[j] = "%.17g" % v
+            bits = c.view(np.int64)
             agent = "" if s.agent is None else s.agent + 1
-            fh.write(row_format % (s.step, agent, s.residual, *s.centralities.tolist()))
+            fh.write("%d,%s,%.17g," % (s.step, agent, s.residual) + ",".join(cells) + "\r\n")
 
 
-def _json_floats(values: list[float], depth: int) -> str:
-    """A non-empty float list laid out as ``json.dump(indent=2)`` lays it out
-    at ``depth`` spaces; ``repr`` is the encoder's own float format."""
+def _json_floats(values: np.ndarray, depth: int) -> str:
+    """A non-empty float vector laid out as ``json.dump(indent=2)`` lays it
+    out at ``depth`` spaces; ``repr`` is the encoder's own float format, and
+    it is "0.0" for every zero-bit entry."""
+    cells = ["0.0"] * len(values)
+    nonzero = np.flatnonzero(values.view(np.int64))
+    for j, v in zip(nonzero.tolist(), values[nonzero].tolist()):
+        cells[j] = repr(v)
     pad = " " * (depth + 2)
-    return "[\n" + pad + (",\n" + pad).join(map(repr, values)) + "\n" + " " * depth + "]"
+    return "[\n" + pad + (",\n" + pad).join(cells) + "\n" + " " * depth + "]"
 
 
 def write_trace_allocations_json(trace: BrdTrace, path, meta: dict | None = None) -> None:
@@ -262,8 +278,8 @@ def write_trace_allocations_json(trace: BrdTrace, path, meta: dict | None = None
         sep = ""
         for s in trace.steps:
             agent = "null" if s.agent is None else s.agent + 1
-            row = "null" if s.row is None else _json_floats(s.row.tolist(), 6)
+            row = "null" if s.row is None else _json_floats(s.row, 6)
             fh.write(f'{sep}    {{\n      "step": {s.step},\n      "agent": {agent},\n      "row": {row}\n    }}')
             sep = ",\n"
-        rows = ",\n".join("    " + _json_floats(r, 4) for r in trace.terminal.weights.tolist())
+        rows = ",\n".join("    " + _json_floats(r, 4) for r in trace.terminal.weights)
         fh.write(f'\n  ],\n  "terminal_weights": [\n{rows}\n  ]\n}}\n')

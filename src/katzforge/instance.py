@@ -52,7 +52,9 @@ class UnderlyingTopology:
     ``adj`` holds ordered pairs (i, j), 0-based, self-pairs permitted; it is
     the canonical value (equality, hashing, repr).  Neighborhood reads and
     serialization go through ``neighbor_index``, built with it: agent i's
-    out-neighbors are ``cols[offsets[i]:offsets[i + 1]]``, ascending.
+    out-neighbors are ``cols[offsets[i]:offsets[i + 1]]``, ascending.  The
+    parser and the generator build the index from edges they have checked
+    as arrays, and ``adj`` from the index when it is first read.
     """
 
     n: int
@@ -80,13 +82,38 @@ class UnderlyingTopology:
             raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         if endpoint_types - {int}:  # e.g. numpy integers: store Python ints
             adj = frozenset(zip(flat[0::2].tolist(), flat[1::2].tolist()))
-        keys = np.sort(flat[0::2] * n + flat[1::2])  # row-major order
+        object.__setattr__(self, "adj", adj)
+        self._index(np.sort(flat[0::2] * n + flat[1::2]))
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray) -> UnderlyingTopology:
+        """The topology with edges (k // n, k % n) for ``keys``, which the
+        caller has checked to be ascending, distinct and in [0, n*n): nothing
+        is checked again, and ``adj`` is built when first read."""
+        top = object.__new__(cls)
+        object.__setattr__(top, "n", n)
+        top._index(keys)
+        return top
+
+    def _index(self, keys: np.ndarray) -> None:
+        """Sets ``neighbor_index`` from the ascending row-major keys i*n + j."""
+        n = self.n
         cols = keys % n
         offsets = np.searchsorted(keys, np.arange(n + 1) * n)
         for arr in (cols, offsets):
             arr.setflags(write=False)
-        object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "neighbor_index", (cols, offsets))
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set: the ``adj`` of a
+        # topology built by ``_from_keys`` until its first read
+        if name != "adj" or "neighbor_index" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cols, offsets = self.neighbor_index
+        rows = np.repeat(np.arange(self.n), np.diff(offsets))
+        adj = frozenset(zip(rows.tolist(), cols.tolist()))
+        object.__setattr__(self, "adj", adj)
+        return adj
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         """Agent i's underlying out-neighbors, ascending."""
@@ -100,7 +127,7 @@ class UnderlyingTopology:
 
     def is_complete(self) -> bool:
         """Every ordered pair present, self-pairs included."""
-        return len(self.adj) == self.n * self.n
+        return len(self.neighbor_index[0]) == self.n * self.n
 
     def is_symmetric(self) -> bool:
         cols, offsets = self.neighbor_index
@@ -247,6 +274,45 @@ def _parse_budget(value, idx: int) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _edge_keys(edges: list, n: int) -> np.ndarray | None:
+    """The ascending row-major keys (i-1)*n + (j-1) of the edges, checked as
+    arrays in one pass; None if some edge is not a pair of integers in 1..n or
+    repeats an earlier one, and also when n*n exceeds int64, where no budgets
+    list of length n can be read."""
+    if n * n > np.iinfo(np.int64).max:
+        return None
+    if not set(map(type, edges)) <= {list} or not set(map(len, edges)) <= {2}:
+        return None
+    flat = list(itertools.chain.from_iterable(edges))
+    if not set(map(type, flat)) <= {int}:  # JSON yields exact types: no bools, no floats
+        return None
+    try:
+        ends = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    except OverflowError:  # beyond int64, so beyond n
+        return None
+    if ends.size and not (ends.min() >= 1 and ends.max() <= n):
+        return None
+    keys = np.sort((ends[0::2] - 1) * n + (ends[1::2] - 1))
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    return keys
+
+
+def _check_each_edge(edges: list, n: int) -> None:
+    """Raises ParseError for the first bad edge in document order: not a
+    pair of integers, outside 1..n, or a repeat."""
+    seen: set[tuple[int, int]] = set()
+    for k, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+            raise ParseError("must be a pair of integers", field=f"edges[{k}]")
+        i, j = e
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"agent index out of range 1..{n}", field=f"edges[{k}]")
+        if (i, j) in seen:
+            raise ParseError(f"duplicate edge [{i}, {j}]", field=f"edges[{k}]")
+        seen.add((i, j))
+
+
 def parse_instance(text: str) -> GameInstance:
     """Parse and validate an instance document; rejects SA violations."""
     doc = _load_json(text, "instance")
@@ -264,18 +330,9 @@ def parse_instance(text: str) -> GameInstance:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise ParseError("must be a list of [i, j] pairs", field="edges")
-    adj: set[tuple[int, int]] = set()
-    for k, e in enumerate(edges):
-        # JSON yields exact types: this rejects bools and floats
-        if not isinstance(e, list) or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
-            raise ParseError("must be a pair of integers", field=f"edges[{k}]")
-        i, j = e
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ParseError(f"agent index out of range 1..{n}", field=f"edges[{k}]")
-        pair = (i - 1, j - 1)
-        if pair in adj:
-            raise ParseError(f"duplicate edge [{i}, {j}]", field=f"edges[{k}]")
-        adj.add(pair)
+    keys = _edge_keys(edges, n)
+    if keys is None:  # name the first bad edge, in document order
+        _check_each_edge(edges, n)
 
     budgets_doc = doc["budgets"]
     if not isinstance(budgets_doc, list) or len(budgets_doc) != n:
@@ -289,7 +346,7 @@ def parse_instance(text: str) -> GameInstance:
     if name is not None and not isinstance(name, str):
         raise ParseError("must be a string", field="name")
 
-    topology = UnderlyingTopology(n, frozenset(adj))
+    topology = UnderlyingTopology._from_keys(n, keys)
     try:
         return GameInstance(topology, budgets, name=name)
     except ValueError as exc:  # the standing rules
@@ -374,8 +431,7 @@ def generate_random_instance(
             support[i, j if j < i else j + 1] = True
 
     budgets = tuple(float(b) for b in rng.uniform(lo, hi, size=n))
-    rows, cols = np.nonzero(support)
-    return GameInstance(UnderlyingTopology(n, frozenset(zip(rows.tolist(), cols.tolist()))), budgets)
+    return GameInstance(UnderlyingTopology._from_keys(n, np.flatnonzero(support)), budgets)
 
 
 def random_profile(g: GameInstance, seed: int) -> AllocationProfile:
@@ -383,10 +439,11 @@ def random_profile(g: GameInstance, seed: int) -> AllocationProfile:
     neighborhood, rows scaled to a random fraction of the budget."""
     rng = _philox(seed)
     w = np.zeros((g.n, g.n))
+    cols, offsets = g.topology.neighbor_index
     for i in range(g.n):
-        nbrs = g.topology.out_neighbors(i)
-        picks = [j for j in nbrs if rng.random() < 0.5]
-        if not picks:
+        nbrs = cols[offsets[i] : offsets[i + 1]]
+        picks = nbrs[rng.random(len(nbrs)) < 0.5]  # one coin per neighbor, ascending
+        if not len(picks):
             continue
         raw = rng.uniform(0.1, 1.0, size=len(picks))
         target = g.budgets[i] * rng.uniform(0.2, 0.95)

@@ -20,11 +20,15 @@ policy iteration, which the CSR routes must match bitwise, and
 per mode), whose agents, rows and terminal weights ``run_brd`` must
 reproduce bitwise.  ``ScheduleReference`` keeps
 the per-kind branches of the agent scheduler, whose picks
-``Scheduler.start(n)`` must reproduce exactly.
+``Scheduler.start(n)`` must reproduce exactly.  ``write_trace_csv_oracle``
+and ``write_trace_allocations_json_oracle`` format every float of every
+record, and the package's trace writers, which format only the entries that
+changed or are nonzero, must write the same bytes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import networkx as nx
@@ -334,6 +338,40 @@ def _modified_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
         steps.append(_record(k, i, br.canonical, c, residual))
         improvers = [j for j in range(g.n) if gaps[j] > cfg.tol]
     return BrdTrace(tuple(steps), w, status, k, cfg)
+
+
+def write_trace_csv_oracle(trace: BrdTrace, path, meta: dict | None = None) -> None:
+    """``write_trace_csv`` formatting every float of every record."""
+    n = trace.n
+    row_format = "%d,%s" + ",%.17g" * (n + 1) + "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if meta:
+            fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        header = ["step", "agent", "residual"] + [f"c_{j + 1}" for j in range(n)]
+        fh.write(",".join(header) + "\r\n")
+        for s in trace.steps:
+            agent = "" if s.agent is None else s.agent + 1
+            fh.write(row_format % (s.step, agent, s.residual, *s.centralities.tolist()))
+
+
+def _json_floats_oracle(values: list[float], depth: int) -> str:
+    pad = " " * (depth + 2)
+    return "[\n" + pad + (",\n" + pad).join(map(repr, values)) + "\n" + " " * depth + "]"
+
+
+def write_trace_allocations_json_oracle(trace: BrdTrace, path, meta: dict | None = None) -> None:
+    """``write_trace_allocations_json`` applying ``repr`` to every weight."""
+    head = {"meta": meta or {}, "status": trace.status, "total_steps": trace.total_steps}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "steps": [\n')
+        sep = ""
+        for s in trace.steps:
+            agent = "null" if s.agent is None else s.agent + 1
+            row = "null" if s.row is None else _json_floats_oracle(s.row.tolist(), 6)
+            fh.write(f'{sep}    {{\n      "step": {s.step},\n      "agent": {agent},\n      "row": {row}\n    }}')
+            sep = ",\n"
+        rows = ",\n".join("    " + _json_floats_oracle(r, 4) for r in trace.terminal.weights.tolist())
+        fh.write(f'\n  ],\n  "terminal_weights": [\n{rows}\n  ]\n}}\n')
 
 
 def brute_walk_sums(a: np.ndarray, i: int, max_len: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from helpers import (
 from katzforge import (
     AllocationProfile,
     BrdConfig,
+    BrdStep,
+    BrdTrace,
     FeasibilityError,
     Scheduler,
     equilibrium_centralities,
@@ -31,7 +34,13 @@ from katzforge import (
 )
 import katzforge.dynamics
 from katzforge.centrality import Resolvent
-from oracles import ScheduleReference, brd_reference
+from oracles import (
+    ScheduleReference,
+    brd_reference,
+    write_trace_allocations_json_oracle,
+    write_trace_csv_oracle,
+)
+from regenerate_corpus import CORPUS_DIR, game_of, read, run_case
 
 
 class TestScheduler:
@@ -643,3 +652,67 @@ class TestTraceArtifacts:
             b'  "terminal_weights": [\n    [\n      0.5,\n      0.0\n    ],\n'
             b"    [\n      0.05,\n      0.03333333333333333\n    ]\n  ]\n}\n"
         )
+
+
+def _hand_trace(records, terminal) -> BrdTrace:
+    """A trace of the given (agent, row, centralities, residual) records."""
+    steps = tuple(
+        BrdStep(k, agent, None if row is None else np.array(row, dtype=float), np.array(c, dtype=float), residual)
+        for k, (agent, row, c, residual) in enumerate(records)
+    )
+    return BrdTrace(steps, AllocationProfile(np.array(terminal, dtype=float)), "step-limit", len(steps) - 1, BrdConfig())
+
+
+HAND_TRACES = {
+    # -0.0 next to 0.0 in c, in rows and in the terminal weights
+    "signed-zeros": _hand_trace(
+        [
+            (None, None, [0.0, -0.0, 1.5], 0.25),
+            (0, [-0.0, 0.5, 0.0], [-0.0, 0.0, 1.5], 0.125),
+            (2, [0.0, -0.0, 0.75], [-0.0, -0.0, 1.5], 0.0),
+        ],
+        [[-0.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, -0.0, 0.75]],
+    ),
+    # an entry moves away and comes back, another repeats, then all change
+    "repeat-and-return": _hand_trace(
+        [
+            (None, None, [1 / 3, 2.0, 1e-300], 1.0),
+            (1, [0.1, 0.0, 0.2], [0.1, 2.0, 1e-300], 0.5),
+            (0, [0.0, 0.3, 0.0], [1 / 3, 2.0, 1e-300], 0.5),
+            (0, [0.0, 0.3, 0.0], [1 / 3, 2.0, 1e-300], 0.5),
+            (2, [1e-17, 0.0, 0.0], [2.0, 1 / 3, 5e-324], 0.0),
+        ],
+        [[0.0, 0.3, 0.0], [0.1, 0.0, 0.2], [1e-17, 0.0, 0.0]],
+    ),
+    "n1": _hand_trace([(None, None, [0.0], 0.5), (0, [0.5], [1.0], 0.0)], [[0.5]]),
+    "step0-only": _hand_trace([(None, None, [0.5, 0.25], 0.0)], [[0.0, 0.5], [0.25, 0.0]]),
+}
+
+
+class TestWritersMatchOracles:
+    """Both trace writers format only what changed or is nonzero; the oracles
+    format every float, and the bytes must be the same."""
+
+    @staticmethod
+    def _assert_same_bytes(trace, tmp_path, meta):
+        for write, oracle, suffix in (
+            (write_trace_csv, write_trace_csv_oracle, ".csv"),
+            (write_trace_allocations_json, write_trace_allocations_json_oracle, ".alloc.json"),
+        ):
+            got, want = tmp_path / f"got{suffix}", tmp_path / f"want{suffix}"
+            write(trace, got, meta)
+            oracle(trace, want, meta)
+            assert got.read_bytes() == want.read_bytes(), suffix
+
+    @pytest.mark.parametrize("meta", [{"seed": 3, "w0": "random"}, None])
+    @pytest.mark.parametrize("name", HAND_TRACES)
+    def test_hand_built_traces(self, name, meta, tmp_path):
+        self._assert_same_bytes(HAND_TRACES[name], tmp_path, meta)
+
+    @pytest.mark.parametrize("name", sorted(p.name.removesuffix(".json.xz") for p in CORPUS_DIR.glob("*.json.xz")))
+    def test_corpus_games(self, name, tmp_path):
+        doc = read(CORPUS_DIR / f"{name}.json.xz")
+        g = game_of(doc)
+        for mode, w0 in itertools.product(("standard", "modified"), ("zero", "random")):
+            trace = run_case(g, doc, {"mode": mode, "scheduler": "rr", "lazy": True, "w0": w0})
+            self._assert_same_bytes(trace, tmp_path, {"mode": mode, "w0": w0})

@@ -160,6 +160,23 @@ class TestTopology:
                 assert np.all(np.diff(run) > 0)
                 assert top.out_neighbors(i) == tuple(sorted(j for k, j in adj if k == i))
 
+    def test_parsed_and_generated_topologies_match_the_constructor(self):
+        # both build the index from checked arrays, and ``adj`` when first read
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            n, adj = _random_digraph(rng)
+            adj = {(int(i), int(j)) for i, j in adj} | {(i, i) for i in range(n)}  # no empty row
+            edges = [[i + 1, j + 1] for i, j in sorted(adj, key=lambda e: rng.random())]
+            parsed = parse_instance(json.dumps({"n": n, "edges": edges, "budgets": [0.5] * n}))
+            generated = generate_random_instance(n, float(rng.random()), False, (0.1, 0.9), int(rng.integers(99)))
+            for top, edge_set in ((parsed.topology, adj), (generated.topology, generated.topology.adj)):
+                want = topology_from_edges(n, edge_set)
+                assert top == want and hash(top) == hash(want)
+                for got, expected in zip(top.neighbor_index, want.neighbor_index):
+                    np.testing.assert_array_equal(got, expected)
+                assert all(type(v) is int for e in top.adj for v in e)
+                assert top.is_complete() == (len(edge_set) == n * n)
+
     def test_is_symmetric_matches_edge_set_oracle(self):
         rng = np.random.default_rng(1)
         seen = set()
@@ -266,6 +283,14 @@ class TestDocuments:
             ("[[1, 3]]", "edges[0]: agent index out of range 1..2"),
             (f"[[1, 2], [{10**30}, 1]]", "edges[1]: agent index out of range 1..2"),
             ("[[1, 2], [2, 1], [2, 2], [1, 2]]", "edges[3]: duplicate edge [1, 2]"),
+            # the first offender is named, whatever fails later
+            ("[[1, 2], [1, 2], [3, 1]]", "edges[1]: duplicate edge [1, 2]"),
+            (f"[[1, 2], [1, 2], [{10**30}, 1]]", "edges[1]: duplicate edge [1, 2]"),
+            ("[[1, 2], [2, 3], [1, 1, 1]]", "edges[1]: agent index out of range 1..2"),
+            ("[[1, 3], [true, 1]]", "edges[0]: agent index out of range 1..2"),
+            ("[[1, 2], [2, 1], [2, 2], [1, true]]", "edges[3]: must be a pair of integers"),
+            ("[[1, 2], [2, 1], [2, 2], [1.0, 1]]", "edges[3]: must be a pair of integers"),
+            ('[[1, 2], [2, 1], [2, 2], [2, "2"]]', "edges[3]: must be a pair of integers"),
         ],
     )
     def test_edge_error_messages(self, edges, message):
@@ -273,6 +298,38 @@ class TestDocuments:
             parse_instance(f'{{"n": 2, "edges": {edges}, "budgets": [0.5, 0.5]}}')
         assert str(exc.value) == message
         assert exc.value.field == message.split(":")[0]
+
+    def test_agent_count_beyond_int64_keys(self):
+        # (i-1)*n + (j-1) would not fit in int64: the edges are checked one by
+        # one, and no budgets list can have length n
+        for n, edges, message in (
+            (10**30, "[[1, 2]]", f"budgets: must be a list of length n={10**30}"),
+            (10**30, f"[[1, {10**25}]]", f"budgets: must be a list of length n={10**30}"),
+            (10**30, "[[1, 2], [0, 1]]", f"edges[1]: agent index out of range 1..{10**30}"),
+            (10**10, "[[1, 2], [1, 2]]", "edges[1]: duplicate edge [1, 2]"),
+        ):
+            with pytest.raises(ParseError) as exc:
+                parse_instance(f'{{"n": {n}, "edges": {edges}, "budgets": [0.5]}}')
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([41, 1], "agent index out of range 1..40"),
+            ([3, 0], "agent index out of range 1..40"),
+            ([10**30, 1], "agent index out of range 1..40"),
+            ([1, 1], "duplicate edge [1, 1]"),
+            ([True, 2], "must be a pair of integers"),
+            ([1.0, 2], "must be a pair of integers"),
+            ([2, "2"], "must be a pair of integers"),
+            ([1, 2, 3], "must be a pair of integers"),
+        ],
+    )
+    def test_bad_edge_after_many_good_ones(self, bad, message):
+        good = [[i, j] for i in range(1, 41) for j in range(1, 41)][:1000]
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps({"n": 40, "edges": good + [bad], "budgets": [0.5] * 40}))
+        assert str(exc.value) == f"edges[1000]: {message}"
 
     @pytest.mark.parametrize(
         "parse, doc, message",
@@ -473,6 +530,20 @@ class TestRandomProfile:
         w2 = random_profile(g, seed=11)
         assert is_feasible(g, w1)
         np.testing.assert_array_equal(w1.weights, w2.weights)
+
+    @pytest.mark.parametrize(
+        "args, seed, digest",
+        [
+            ((200, 0.1, True, (0.1, 0.9), 1), 2, "6f5600dffa4a7c9d3593abf4682eac9432c913ab1cab36936d1707dc5413e271"),
+            ((60, 0.5, False, (0.3, 0.99), 3), 4, "f26ff1c7fce0bbc6afd92ca11a6066ca822abeb291b195a60d3c3e21dde49026"),
+        ],
+        ids=["n200", "n60"],
+    )
+    def test_pinned_output_digest(self, args, seed, digest):
+        # one Philox stream per seed: per agent in turn, one coin per
+        # neighbor in ascending order, then the kept weights and the scale
+        g = generate_random_instance(*args)
+        assert hashlib.sha256(random_profile(g, seed).weights.tobytes()).hexdigest() == digest
 
 
 class TestSerializationDeterminism:
