@@ -222,10 +222,11 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
 # 1-based, blank agent on the step-0 record; header and data rows end in
 # "\r\n".  No field ever needs quoting.
 #
-# A step moves few entries of c and a row has few nonzero weights, so both
-# writers format only those: the CSV keeps each c_j's cell until its bit
-# pattern changes (so -0.0 and 0.0 stay apart), and the JSON writes a
-# zero-bit weight as the constant "0.0".
+# Both writers format only what a record adds.  The CSV formats again only
+# the c_j whose bit pattern changed since the previous record (so -0.0 and
+# 0.0 stay apart); a record where every c_j changed is formatted whole, in
+# one call, which is cheaper than cell by cell.  The JSON writes a zero-bit
+# weight as the constant "0.0".
 
 
 def write_trace_csv(trace: BrdTrace, path, meta: dict | None = None) -> None:
@@ -238,8 +239,9 @@ def write_trace_csv(trace: BrdTrace, path, meta: dict | None = None) -> None:
         if f"{key}={value}".splitlines() != [f"{key}={value}"]:
             raise ValueError(f"trace metadata {key}={value!r} contains a line break")
     n = trace.n
-    cells = [""] * n
-    bits = None  # the bit patterns whose formatting ``cells`` holds
+    row_format = "%d,%s" + ",%.17g" * (n + 1) + "\r\n"
+    bits = None  # the previous record's c, as bit patterns
+    cells = None  # its c_j cells, once a record has not been written whole
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta:
             fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
@@ -247,12 +249,19 @@ def write_trace_csv(trace: BrdTrace, path, meta: dict | None = None) -> None:
         fh.write(",".join(header) + "\r\n")
         for s in trace.steps:
             c = s.centralities
-            changed = np.arange(n) if bits is None else np.flatnonzero(c.view(np.int64) != bits)
-            for j, v in zip(changed.tolist(), c[changed].tolist()):
-                cells[j] = "%.17g" % v
-            bits = c.view(np.int64)
             agent = "" if s.agent is None else s.agent + 1
-            fh.write("%d,%s,%.17g," % (s.step, agent, s.residual) + ",".join(cells) + "\r\n")
+            changed = np.arange(n) if bits is None else np.flatnonzero(c.view(np.int64) != bits)
+            bits = c.view(np.int64)
+            if len(changed) == n:
+                line = row_format % (s.step, agent, s.residual, *c.tolist())
+                cells = None
+            else:
+                if cells is None:
+                    cells = line[:-2].split(",")[3:]
+                for j, v in zip(changed.tolist(), c[changed].tolist()):
+                    cells[j] = "%.17g" % v
+                line = "%d,%s,%.17g," % (s.step, agent, s.residual) + ",".join(cells) + "\r\n"
+            fh.write(line)
 
 
 def _json_floats(values: np.ndarray, depth: int) -> str:

@@ -53,8 +53,8 @@ class UnderlyingTopology:
     the canonical value (equality, hashing, repr).  Neighborhood reads and
     serialization go through ``neighbor_index``, built with it: agent i's
     out-neighbors are ``cols[offsets[i]:offsets[i + 1]]``, ascending.  The
-    parser and the generator build the index from edges they have checked
-    as arrays, and ``adj`` from the index when it is first read.
+    parser and the generator build both from edge keys they have checked as
+    arrays, without checking them again.
     """
 
     n: int
@@ -89,9 +89,11 @@ class UnderlyingTopology:
     def _from_keys(cls, n: int, keys: np.ndarray) -> UnderlyingTopology:
         """The topology with edges (k // n, k % n) for ``keys``, which the
         caller has checked to be ascending, distinct and in [0, n*n): nothing
-        is checked again, and ``adj`` is built when first read."""
+        is checked again."""
         top = object.__new__(cls)
+        rows, cols = np.divmod(keys, n)
         object.__setattr__(top, "n", n)
+        object.__setattr__(top, "adj", frozenset(zip(rows.tolist(), cols.tolist())))
         top._index(keys)
         return top
 
@@ -103,17 +105,6 @@ class UnderlyingTopology:
         for arr in (cols, offsets):
             arr.setflags(write=False)
         object.__setattr__(self, "neighbor_index", (cols, offsets))
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute that is not set: the ``adj`` of a
-        # topology built by ``_from_keys`` until its first read
-        if name != "adj" or "neighbor_index" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        cols, offsets = self.neighbor_index
-        rows = np.repeat(np.arange(self.n), np.diff(offsets))
-        adj = frozenset(zip(rows.tolist(), cols.tolist()))
-        object.__setattr__(self, "adj", adj)
-        return adj
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         """Agent i's underlying out-neighbors, ascending."""

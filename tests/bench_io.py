@@ -5,17 +5,23 @@ Loads two source trees of the package side by side (as ``kf_parent`` and
 
 - both trace writers on the six traces of perfbench's ``brd-near1`` workload
   at seed 1 (the same instances, run seed and w0 as its ``run`` commands),
-  and on modified round-robin runs from zero at n=500 (density 0.05) and
-  n=1000 (density 0.02);
+  on modified round-robin runs from zero at n=500 (density 0.05) and n=1000
+  (density 0.02) and from random w0 on complete n=200 and n=500 instances,
+  and on hand-built n=200 and n=500 traces where every centrality and every
+  weight is new at every record, the case where formatting only what changed
+  saves nothing;
 - ``parse_instance`` on an n=200 instance of density 0.1 and on complete
   n=60 and n=1000 instances;
 - ``random_profile`` on the six ``brd-near1`` seed-1 instances.
 
 The traces are built once, with the change's ``run_brd``; only the timed
-call differs between the sides.  Every pair of outputs must be identical:
-the same file bytes, the same instance, the same weights.  One sample is
-one wall-clock call over all the inputs of its case.  BLAS runs on one
-thread.  Prints one JSON document (or writes it to ``--out``):
+call differs between the sides.  Each writer case also reports the share of
+c_j entries whose bits did not change since the previous record and the
+share of zero-bit weights, which is what the writers skip.  Every pair of
+outputs must be identical: the same file bytes, the same instance, the same
+weights.  One sample is one wall-clock call over all the inputs of its case.
+BLAS runs on one thread.  Prints one JSON document (or writes it to
+``--out``):
 
     python tests/bench_io.py --parent /path/to/parent/src [--change src] [--repeats 11] [--out timings.json]
 
@@ -77,6 +83,36 @@ def zero_start_trace(kf, n: int, density: float):
     return kf.run_brd(g, kf.AllocationProfile.zeros(n), kf.BrdConfig(mode="modified"))
 
 
+def complete_random_start_trace(kf, n: int):
+    g = kf.generate_random_instance(n, 1.0, True, (0.1, 0.9), 1)
+    return kf.run_brd(g, kf.random_profile(g, 1), kf.BrdConfig(mode="modified"))
+
+
+def all_moving_trace(kf, n: int, records: int):
+    """Every centrality, every row weight and every terminal weight nonzero
+    and new at every record."""
+    rng = np.random.default_rng(n)
+    steps = [kf.BrdStep(0, None, None, rng.uniform(1, 2, n), 1.0)]
+    for k in range(1, records):
+        steps.append(kf.BrdStep(k, k % n, rng.uniform(0.1, 1, n) / n, rng.uniform(1, 2, n), 1 / k))
+    terminal = kf.AllocationProfile(rng.uniform(0.1, 1, (n, n)) / n)
+    return kf.BrdTrace(tuple(steps), terminal, "step-limit", records - 1, kf.BrdConfig(mode="modified"))
+
+
+def skipped_shares(runs: list) -> dict:
+    """The share of c_j entries with the same bits as at the previous record,
+    and of zero-bit weights in the step rows and terminal rows."""
+    same = after_first = zero = weights = 0
+    for t in runs:
+        bits = [s.centralities.view(np.int64) for s in t.steps]
+        same += sum(int(np.count_nonzero(a == b)) for a, b in zip(bits, bits[1:]))
+        after_first += (len(bits) - 1) * t.n
+        rows = [s.row for s in t.steps if s.row is not None] + [t.terminal.weights]
+        zero += sum(int(np.count_nonzero(r.view(np.int64) == 0)) for r in rows)
+        weights += sum(r.size for r in rows)
+    return {"unchanged_c_share": round(same / after_first, 4), "zero_weight_share": round(zero / weights, 4)}
+
+
 def cases(parent, change, work: Path) -> dict:
     """name -> (what, {side: call}, compare): each call returns its outputs,
     and ``compare(a, b)`` is True when the two sides' outputs agree."""
@@ -85,6 +121,10 @@ def cases(parent, change, work: Path) -> dict:
         "brd-near1-seed1": near1_traces(change),
         "zero-n500-d0.05": [zero_start_trace(change, 500, 0.05)],
         "zero-n1000-d0.02": [zero_start_trace(change, 1000, 0.02)],
+        "complete-random-n200": [complete_random_start_trace(change, 200)],
+        "complete-random-n500": [complete_random_start_trace(change, 500)],
+        "all-moving-n200": [all_moving_trace(change, 200, 263)],
+        "all-moving-n500": [all_moving_trace(change, 500, 689)],
     }
 
     def writer(kf, fn_name: str, suffix: str, key: str):
@@ -101,8 +141,10 @@ def cases(parent, change, work: Path) -> dict:
     out = {}
     for key, runs in traces.items():
         steps = sum(t.total_steps + 1 for t in runs)
+        shares = skipped_shares(runs)
         for fn_name, suffix in (("write_trace_csv", ".csv"), ("write_trace_allocations_json", ".alloc.json")):
-            what = f"{fn_name} on {len(runs)} trace(s), {steps} records in all"
+            what = (f"{fn_name} on {len(runs)} trace(s), {steps} records in all; c_j unchanged since the "
+                    f"previous record: {shares['unchanged_c_share']}, zero-bit weights: {shares['zero_weight_share']}")
             calls = {side: writer(kf, fn_name, suffix, key) for side, kf in (("parent", parent), ("change", change))}
             out[f"{fn_name}/{key}"] = (what, calls, same_files)
 

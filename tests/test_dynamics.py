@@ -684,7 +684,21 @@ HAND_TRACES = {
         ],
         [[0.0, 0.3, 0.0], [0.1, 0.0, 0.2], [1e-17, 0.0, 0.0]],
     ),
-    "n1": _hand_trace([(None, None, [0.0], 0.5), (0, [0.5], [1.0], 0.0)], [[0.5]]),
+    # CSV records where every entry changed are written whole; the partial
+    # ones after them take their cells from the whole row
+    "whole-then-partial": _hand_trace(
+        [
+            (None, None, [1.0, 2.0, 3.0], 1.0),
+            (0, [0.0, 0.5, 0.0], [1.0, 2.5, 3.0], 0.5),
+            (1, [0.25, 0.0, 0.0], [-0.0, 0.1, 1e-300], 0.25),
+            (2, [0.0, 0.0, 0.0], [-0.0, 0.1, 1e-300], 0.25),
+            (0, [0.0, 0.0, 0.125], [0.0, 0.1, 7.0], 0.0),
+            (1, [0.5, 0.0, 0.0], [1 / 3, 2 / 3, 1.0], 0.0),
+            (2, [0.0, 0.25, 0.0], [1 / 3, 2 / 3, 1.5], 0.0),
+        ],
+        [[0.0, 0.0, 0.125], [0.5, 0.0, 0.0], [0.0, 0.25, 0.0]],
+    ),
+    "n1": _hand_trace([(None, None, [0.0], 0.5), (0, [0.5], [1.0], 0.0), (0, [0.5], [1.0], 0.0)], [[0.5]]),
     "step0-only": _hand_trace([(None, None, [0.5, 0.25], 0.0)], [[0.0, 0.5], [0.25, 0.0]]),
 }
 

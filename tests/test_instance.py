@@ -161,7 +161,7 @@ class TestTopology:
                 assert top.out_neighbors(i) == tuple(sorted(j for k, j in adj if k == i))
 
     def test_parsed_and_generated_topologies_match_the_constructor(self):
-        # both build the index from checked arrays, and ``adj`` when first read
+        # both build the topology from checked arrays, with the same fields set
         rng = np.random.default_rng(2)
         for _ in range(100):
             n, adj = _random_digraph(rng)
@@ -172,6 +172,7 @@ class TestTopology:
             for top, edge_set in ((parsed.topology, adj), (generated.topology, generated.topology.adj)):
                 want = topology_from_edges(n, edge_set)
                 assert top == want and hash(top) == hash(want)
+                assert vars(top).keys() == vars(want).keys()
                 for got, expected in zip(top.neighbor_index, want.neighbor_index):
                     np.testing.assert_array_equal(got, expected)
                 assert all(type(v) is int for e in top.adj for v in e)
