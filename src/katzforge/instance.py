@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,66 +45,51 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class UnderlyingTopology:
     """Unweighted digraph constraining who may allocate to whom.
 
-    ``adj`` holds ordered pairs (i, j), 0-based, self-pairs permitted; it is
-    the canonical value (equality, hashing, repr).  Neighborhood reads and
-    serialization go through ``neighbor_index``, built with it: agent i's
-    out-neighbors are ``cols[offsets[i]:offsets[i + 1]]``, ascending.  The
-    parser and the generator build both from edge keys they have checked as
-    arrays, without checking them again.
+    Built from 0-based integer endpoint arrays, edge k being (tails[k],
+    heads[k]), self-pairs permitted; the range is checked and a repeated
+    edge rejected.  Stored once, as the ascending read-only row-major keys
+    i*n + j, which define equality, hashing and repr.  Neighborhood reads go
+    through ``neighbor_index``, built from them: agent i's out-neighbors are
+    ``cols[offsets[i]:offsets[i + 1]]``, ascending.
     """
 
     n: int
-    adj: frozenset[tuple[int, int]]
-    neighbor_index: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    keys: np.ndarray
+    neighbor_index: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
-    def __post_init__(self):
-        n, adj = self.n, frozenset(self.adj)  # the same object when already a frozenset
+    def __init__(self, n: int, tails, heads):
         if n < 1:
             raise ValueError(f"agent count must be positive, got {n}")
-        if set(map(len, adj)) - {2}:
-            bad = next(e for e in adj if len(e) != 2)
-            raise ValueError(f"edge {bad!r} is not a pair")
-        endpoint_types = set(map(type, itertools.chain.from_iterable(adj)))
-        if not all(_is_index_type(t) for t in endpoint_types):
-            bad = next(e for e in adj if not all(_is_index_type(type(v)) for v in e))
-            raise ValueError(f"edge {bad!r} has a non-integer endpoint")
-        try:
-            flat = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.intp, count=2 * len(adj))
-            in_range = not flat.size or (0 <= flat.min() and flat.max() < n)
-        except OverflowError:  # beyond intp
-            in_range = False
-        if not in_range:
-            i, j = next(e for e in adj if not (0 <= e[0] < n and 0 <= e[1] < n))
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        if endpoint_types - {int}:  # e.g. numpy integers: store Python ints
-            adj = frozenset(zip(flat[0::2].tolist(), flat[1::2].tolist()))
-        object.__setattr__(self, "adj", adj)
-        self._index(np.sort(flat[0::2] * n + flat[1::2]))
-
-    @classmethod
-    def _from_keys(cls, n: int, keys: np.ndarray) -> UnderlyingTopology:
-        """The topology with edges (k // n, k % n) for ``keys``, which the
-        caller has checked to be ascending, distinct and in [0, n*n): nothing
-        is checked again."""
-        top = object.__new__(cls)
-        rows, cols = np.divmod(keys, n)
-        object.__setattr__(top, "n", n)
-        object.__setattr__(top, "adj", frozenset(zip(rows.tolist(), cols.tolist())))
-        top._index(keys)
-        return top
-
-    def _index(self, keys: np.ndarray) -> None:
-        """Sets ``neighbor_index`` from the ascending row-major keys i*n + j."""
-        n = self.n
-        cols = keys % n
-        offsets = np.searchsorted(keys, np.arange(n + 1) * n)
-        for arr in (cols, offsets):
+        tails, heads = np.asarray(tails), np.asarray(heads)
+        if tails.ndim != 1 or heads.shape != tails.shape:
+            raise ValueError(f"endpoint arrays of shapes {tails.shape} and {heads.shape}: need one length")
+        if tails.size and not {tails.dtype.kind, heads.dtype.kind} <= {"i", "u", "O"}:
+            raise ValueError(f"endpoint arrays of dtypes {tails.dtype} and {heads.dtype}: need integers")
+        outside = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
+        if outside.any():
+            k = int(outside.argmax())
+            raise ValueError(f"edge ({tails[k]}, {heads[k]}) out of range for n={n}")
+        keys = np.sort(tails.astype(np.int64, copy=False) * n + heads.astype(np.int64, copy=False))
+        repeats = keys[1:][keys[1:] == keys[:-1]]
+        if repeats.size:
+            raise ValueError(f"duplicate edge {divmod(int(repeats[0]), n)}")
+        cols, offsets = keys % n, np.searchsorted(keys, np.arange(n + 1) * n)
+        for arr in (keys, cols, offsets):
             arr.setflags(write=False)
-        object.__setattr__(self, "neighbor_index", (cols, offsets))
+        for name, value in (("n", n), ("keys", keys), ("neighbor_index", (cols, offsets))):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, UnderlyingTopology):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.keys, other.keys)
+
+    def __hash__(self):
+        return hash((self.n, self.keys.tobytes()))
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         """Agent i's underlying out-neighbors, ascending."""
@@ -112,18 +97,15 @@ class UnderlyingTopology:
         return tuple(cols[offsets[i] : offsets[i + 1]].tolist())
 
     def has_all_self_loops(self) -> bool:
-        cols, offsets = self.neighbor_index
-        rows = np.repeat(np.arange(self.n), np.diff(offsets))
-        return int(np.count_nonzero(rows == cols)) == self.n
+        return int(np.count_nonzero(self.keys // self.n == self.neighbor_index[0])) == self.n
 
     def is_complete(self) -> bool:
         """Every ordered pair present, self-pairs included."""
-        return len(self.neighbor_index[0]) == self.n * self.n
+        return len(self.keys) == self.n * self.n
 
     def is_symmetric(self) -> bool:
-        cols, offsets = self.neighbor_index
-        rows = np.repeat(np.arange(self.n), np.diff(offsets))
-        return bool(np.array_equal(rows * self.n + cols, np.sort(cols * self.n + rows)))
+        cols = self.neighbor_index[0]
+        return bool(np.array_equal(self.keys, np.sort(cols * self.n + self.keys // self.n)))
 
 
 def _is_index_type(t: type) -> bool:
@@ -209,10 +191,8 @@ def is_feasible(g: GameInstance, w: AllocationProfile) -> bool:
     """True iff every row obeys the support and budget constraints."""
     if w.n != g.n:
         raise ValueError(f"profile is {w.n}x{w.n} but instance has n={g.n}")
-    cols, offsets = g.topology.neighbor_index
-    rows = np.repeat(np.arange(g.n), np.diff(offsets))
     positive = w.weights > 0
-    if np.count_nonzero(positive) != np.count_nonzero(positive[rows, cols]):
+    if np.count_nonzero(positive) != np.count_nonzero(positive.ravel()[g.topology.keys]):
         return False
     return bool(np.all(w.weights.sum(axis=1) <= g.budget_array))
 
@@ -265,11 +245,11 @@ def _parse_budget(value, idx: int) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _edge_keys(edges: list, n: int) -> np.ndarray | None:
-    """The ascending row-major keys (i-1)*n + (j-1) of the edges, checked as
-    arrays in one pass; None if some edge is not a pair of integers in 1..n or
-    repeats an earlier one, and also when n*n exceeds int64, where no budgets
-    list of length n can be read."""
+def _topology(edges: list, n: int) -> UnderlyingTopology | None:
+    """The topology of the edges, checked as arrays in one pass; None if some
+    edge is not a pair of integers in 1..n or repeats an earlier one, and
+    also when n*n exceeds int64, where no budgets list of length n can be
+    read."""
     if n * n > np.iinfo(np.int64).max:
         return None
     if not set(map(type, edges)) <= {list} or not set(map(len, edges)) <= {2}:
@@ -278,15 +258,10 @@ def _edge_keys(edges: list, n: int) -> np.ndarray | None:
     if not set(map(type, flat)) <= {int}:  # JSON yields exact types: no bools, no floats
         return None
     try:
-        ends = np.fromiter(flat, dtype=np.int64, count=len(flat))
-    except OverflowError:  # beyond int64, so beyond n
+        ends = np.fromiter(flat, dtype=np.int64, count=len(flat)) - 1
+        return UnderlyingTopology(n, ends[0::2], ends[1::2])
+    except (OverflowError, ValueError):  # beyond int64, out of range, or a repeat
         return None
-    if ends.size and not (ends.min() >= 1 and ends.max() <= n):
-        return None
-    keys = np.sort((ends[0::2] - 1) * n + (ends[1::2] - 1))
-    if np.any(keys[1:] == keys[:-1]):
-        return None
-    return keys
 
 
 def _check_each_edge(edges: list, n: int) -> None:
@@ -321,8 +296,8 @@ def parse_instance(text: str) -> GameInstance:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise ParseError("must be a list of [i, j] pairs", field="edges")
-    keys = _edge_keys(edges, n)
-    if keys is None:  # name the first bad edge, in document order
+    topology = _topology(edges, n)
+    if topology is None:  # name the first bad edge, in document order
         _check_each_edge(edges, n)
 
     budgets_doc = doc["budgets"]
@@ -337,7 +312,6 @@ def parse_instance(text: str) -> GameInstance:
     if name is not None and not isinstance(name, str):
         raise ParseError("must be a string", field="name")
 
-    topology = UnderlyingTopology._from_keys(n, keys)
     try:
         return GameInstance(topology, budgets, name=name)
     except ValueError as exc:  # the standing rules
@@ -346,10 +320,8 @@ def parse_instance(text: str) -> GameInstance:
 
 def serialize_instance(g: GameInstance) -> str:
     """Canonical serialization: sorted edges, fixed key order, 1-based agents."""
-    cols, offsets = g.topology.neighbor_index  # row-major, so already sorted
-    rows = np.repeat(np.arange(1, g.n + 1), np.diff(offsets))
-    pairs = np.column_stack((rows, cols + 1)).ravel().tolist()
-    edges = ", ".join(["[{}, {}]"] * len(cols)).format(*pairs)
+    pairs = (np.column_stack(np.divmod(g.topology.keys, g.n)) + 1).ravel().tolist()  # keys ascend
+    edges = ", ".join(["[{}, {}]"] * len(g.topology.keys)).format(*pairs)
     lines = [
         "{",
         f'  "n": {g.n},',
@@ -422,7 +394,7 @@ def generate_random_instance(
             support[i, j if j < i else j + 1] = True
 
     budgets = tuple(float(b) for b in rng.uniform(lo, hi, size=n))
-    return GameInstance(UnderlyingTopology._from_keys(n, np.flatnonzero(support)), budgets)
+    return GameInstance(UnderlyingTopology(n, *np.nonzero(support)), budgets)
 
 
 def random_profile(g: GameInstance, seed: int) -> AllocationProfile:
@@ -449,6 +421,17 @@ def instance_digest(g: GameInstance) -> str:
     return hashlib.sha256(serialize_instance(g).encode("utf-8")).hexdigest()
 
 
-def topology_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> UnderlyingTopology:
-    """Convenience constructor from 0-based edge pairs."""
-    return UnderlyingTopology(n, frozenset(edges))
+def topology_from_edges(n: int, edges: Iterable[Sequence[int]]) -> UnderlyingTopology:
+    """The topology with 0-based edge pairs ``edges``: tuples, lists or rows
+    of an (E, 2) array, of Python or numpy integers.  A repeated pair counts
+    once."""
+    pairs = {}  # keys only: a dict keeps the first-seen order
+    for e in map(tuple, edges):
+        if len(e) != 2:
+            raise ValueError(f"edge {e!r} is not a pair")
+        if not all(_is_index_type(type(v)) for v in e):
+            raise ValueError(f"edge {e!r} has a non-integer endpoint")
+        pairs[int(e[0]), int(e[1])] = None
+    # Python ints in an object array, so none is rounded or wrapped before the range check
+    ends = np.array(list(pairs), dtype=object).reshape(-1, 2)
+    return UnderlyingTopology(n, ends[:, 0], ends[:, 1])

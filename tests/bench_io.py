@@ -11,7 +11,7 @@ Loads two source trees of the package side by side (as ``kf_parent`` and
   weight is new at every record, the case where formatting only what changed
   saves nothing;
 - ``parse_instance`` on an n=200 instance of density 0.1 and on complete
-  n=60 and n=1000 instances;
+  n=60 and n=1000 instances, and ``generate_random_instance`` making them;
 - ``random_profile`` on the six ``brd-near1`` seed-1 instances.
 
 The traces are built once, with the change's ``run_brd``; only the timed
@@ -19,7 +19,9 @@ call differs between the sides.  Each writer case also reports the share of
 c_j entries whose bits did not change since the previous record and the
 share of zero-bit weights, which is what the writers skip.  Every pair of
 outputs must be identical: the same file bytes, the same instance, the same
-weights.  One sample is one wall-clock call over all the inputs of its case.
+weights; they are compared in an untimed first call of each side.  One
+sample is one wall-clock call over all the inputs of its case, with no
+output of another sample still alive.
 BLAS runs on one thread.  Prints one JSON document (or writes it to
 ``--out``):
 
@@ -148,20 +150,22 @@ def cases(parent, change, work: Path) -> dict:
             calls = {side: writer(kf, fn_name, suffix, key) for side, kf in (("parent", parent), ("change", change))}
             out[f"{fn_name}/{key}"] = (what, calls, same_files)
 
-    texts = {
-        "n200-d0.1": change.serialize_instance(change.generate_random_instance(200, 0.1, True, (0.1, 0.9), 1)),
-        "complete-n60": change.serialize_instance(change.generate_random_instance(60, 1.0, True, (0.1, 0.9), 1)),
-        "complete-n1000": change.serialize_instance(change.generate_random_instance(1000, 1.0, True, (0.1, 0.9), 1)),
-    }
+    sizes = {"n200-d0.1": (200, 0.1), "complete-n60": (60, 1.0), "complete-n1000": (1000, 1.0)}
 
     def same_instances(a, b):
         return a.budgets == b.budgets and all(
             np.array_equal(x, y) for x, y in zip(a.topology.neighbor_index, b.topology.neighbor_index)
         )
 
-    for key, text in texts.items():
+    for key, (n, density) in sizes.items():
+        text = change.serialize_instance(change.generate_random_instance(n, density, True, (0.1, 0.9), 1))
         calls = {side: (lambda kf=kf, text=text: kf.parse_instance(text)) for side, kf in (("parent", parent), ("change", change))}
         out[f"parse_instance/{key}"] = (f"parse_instance on {len(text)} bytes", calls, same_instances)
+        calls = {
+            side: (lambda kf=kf, n=n, density=density: kf.generate_random_instance(n, density, True, (0.1, 0.9), 1))
+            for side, kf in (("parent", parent), ("change", change))
+        }
+        out[f"generate_random_instance/{key}"] = (f"generate_random_instance({n}, {density}, self-loops, seed 1)", calls, same_instances)
 
     games = {side: near1_instances(kf) for side, kf in (("parent", parent), ("change", change))}
     seeds = {side: w0_seed(kf) for side, kf in (("parent", parent), ("change", change))}
@@ -203,15 +207,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         for name, (what, calls, compare) in cases(parent, change, Path(tmp)).items():
+            if not compare(calls["parent"](), calls["change"]()):
+                raise SystemExit(f"{name}: the parent's and the change's outputs differ")
             times = {"parent": [], "change": []}
             for r in range(args.repeats):
-                outputs = {}
                 for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
                     start = time.perf_counter()
-                    outputs[side] = calls[side]()
+                    output = calls[side]()
                     times[side].append(time.perf_counter() - start)
-                if r == 0 and not compare(outputs["parent"], outputs["change"]):
-                    raise SystemExit(f"{name}: the parent's and the change's outputs differ")
+                    del output  # freed untimed, and not alive during the next call
             parent_s, change_s = summary(times["parent"]), summary(times["change"])
             wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
             result["cases"][name] = {

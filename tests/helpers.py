@@ -25,6 +25,11 @@ REPORTED_BUDGETS = (0.2, 0.2, 0.2, 0.83, 0.83, 0.83, 0.69, 0.69, 0.69, 0.17)
 REPORTED_C_STAR = np.array([1.15] * 3 + [4.77] * 3 + [3.98] * 3 + [0.98])
 
 
+def edge_set(topology) -> set[tuple[int, int]]:
+    """The topology's 0-based edges (i, j), read from its row-major keys."""
+    return {divmod(k, topology.n) for k in topology.keys.tolist()}
+
+
 def with_row(w: AllocationProfile, i: int, row) -> AllocationProfile:
     """``w`` with agent i's row replaced by ``row``."""
     a = np.array(w.weights)

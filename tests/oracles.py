@@ -34,7 +34,7 @@ import math
 import networkx as nx
 import numpy as np
 
-from helpers import with_row
+from helpers import edge_set, with_row
 from katzforge import (
     AllocationProfile,
     BestResponseResult,
@@ -113,9 +113,10 @@ def fractional_linear_centrality(row: np.ndarray, wd: WalkDecomposition) -> floa
 
 
 def support_mask(g: GameInstance) -> np.ndarray:
-    """Dense n x n boolean mask of the underlying topology, built from ``adj``."""
+    """Dense n x n boolean mask of the underlying topology, built from its
+    edge set."""
     mask = np.zeros((g.n, g.n), dtype=bool)
-    for i, j in g.topology.adj:
+    for i, j in edge_set(g.topology):
         mask[i, j] = True
     return mask
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import CROSS_CHECK_TOL, random_feasible_profile, random_game, with_row
+from helpers import CROSS_CHECK_TOL, edge_set, random_feasible_profile, random_game, with_row
 from katzforge import (
     AllocationProfile,
     FeasibilityError,
@@ -189,7 +189,7 @@ class TestCentralityIdentities:
                 wd = walk_decomposition(g, w, i)
                 q = np.array(wd.q)
                 q[i] = 0.0  # own row never allocates outside N_i; q_ii unused here
-                if (i, i) in g.topology.adj:
+                if (i, i) in edge_set(g.topology):
                     q[i] = 1.0
                 assert 1.0 - float(q @ w.weights[i]) > 0.0
 
@@ -212,7 +212,7 @@ class TestCentralityIdentities:
             c0 = katz_solve(w)
             candidates = [
                 (i, j)
-                for i, j in g.topology.adj
+                for i, j in sorted(edge_set(g.topology))
                 if w.weights[i].sum() < g.budgets[i] - 1e-9
             ]
             if not candidates:

@@ -24,6 +24,7 @@ from katzforge import (
     serialize_instance,
     topology_from_edges,
 )
+from helpers import edge_set
 from oracles import is_feasible_dense
 
 
@@ -114,13 +115,35 @@ class TestTopology:
 
     def test_no_agents_rejected(self):
         with pytest.raises(ValueError) as exc:
-            UnderlyingTopology(0, frozenset())
+            UnderlyingTopology(0, [], [])
         assert str(exc.value) == "agent count must be positive, got 0"
 
+    @pytest.mark.parametrize(
+        "tails, heads, message",
+        [
+            ([0, 1], [1], "endpoint arrays of shapes (2,) and (1,): need one length"),
+            ([[0, 1]], [[1, 0]], "endpoint arrays of shapes (1, 2) and (1, 2): need one length"),
+            ([0, 1], [1.0, 0.0], "endpoint arrays of dtypes int64 and float64: need integers"),
+            ([True], [False], "endpoint arrays of dtypes bool and bool: need integers"),
+        ],
+    )
+    def test_constructor_takes_integer_arrays_of_one_length(self, tails, heads, message):
+        with pytest.raises(ValueError) as exc:
+            UnderlyingTopology(2, tails, heads)
+        assert str(exc.value) == message
+
     def test_numpy_integer_endpoints_accepted(self):
-        top = topology_from_edges(3, [(np.int64(0), np.int32(2)), (np.uint8(1), 1)])
-        assert top.adj == frozenset({(0, 2), (1, 1)})
-        assert all(type(v) is int for e in top.adj for v in e)
+        # list pairs and rows of an (E, 2) integer array are pairs too
+        for edges in (
+            [(np.int64(0), np.int32(2)), (np.uint8(1), 1)],
+            [[0, 2], [1, 1]],
+            [[0, 2], (1, 1), [0, 2]],  # a repeated pair counts once
+            np.array([[1, 1], [0, 2]]),
+            np.array([[0, 2], [1, 1]], dtype=np.uint8),
+        ):
+            top = topology_from_edges(3, edges)
+            assert edge_set(top) == {(0, 2), (1, 1)}
+            assert top == topology_from_edges(3, [(0, 2), (1, 1)])
 
     @pytest.mark.parametrize(
         "edge, shown",
@@ -161,7 +184,7 @@ class TestTopology:
                 assert top.out_neighbors(i) == tuple(sorted(j for k, j in adj if k == i))
 
     def test_parsed_and_generated_topologies_match_the_constructor(self):
-        # both build the topology from checked arrays, with the same fields set
+        # the same edges in any order give equal topologies with one repr
         rng = np.random.default_rng(2)
         for _ in range(100):
             n, adj = _random_digraph(rng)
@@ -169,14 +192,13 @@ class TestTopology:
             edges = [[i + 1, j + 1] for i, j in sorted(adj, key=lambda e: rng.random())]
             parsed = parse_instance(json.dumps({"n": n, "edges": edges, "budgets": [0.5] * n}))
             generated = generate_random_instance(n, float(rng.random()), False, (0.1, 0.9), int(rng.integers(99)))
-            for top, edge_set in ((parsed.topology, adj), (generated.topology, generated.topology.adj)):
-                want = topology_from_edges(n, edge_set)
-                assert top == want and hash(top) == hash(want)
-                assert vars(top).keys() == vars(want).keys()
+            for top, edges in ((parsed.topology, adj), (generated.topology, edge_set(generated.topology))):
+                want, shuffled = (topology_from_edges(n, sorted(edges, key=lambda e: rng.random())) for _ in range(2))
+                for other in (want, shuffled):
+                    assert top == other and hash(top) == hash(other) and repr(top) == repr(other)
                 for got, expected in zip(top.neighbor_index, want.neighbor_index):
                     np.testing.assert_array_equal(got, expected)
-                assert all(type(v) is int for e in top.adj for v in e)
-                assert top.is_complete() == (len(edge_set) == n * n)
+                assert top.is_complete() == (len(edges) == n * n)
 
     def test_is_symmetric_matches_edge_set_oracle(self):
         rng = np.random.default_rng(1)
@@ -248,7 +270,7 @@ class TestDocuments:
     def test_schema_example(self):
         g = parse_instance('{"n": 1, "edges": [[1, 1]], "budgets": [0.5]}')
         assert g.n == 1
-        assert g.topology.adj == frozenset({(0, 0)})
+        assert edge_set(g.topology) == {(0, 0)}
         assert g.budgets == (0.5,)
 
     def test_round_trip(self, i2):
@@ -459,11 +481,11 @@ class TestGenerator:
     def test_density_one_gives_complete_without_self_loops(self):
         g = generate_random_instance(5, 1.0, False, (0.1, 0.9), seed=7)
         expected = {(i, j) for i in range(5) for j in range(5) if i != j}
-        assert g.topology.adj == frozenset(expected)
+        assert edge_set(g.topology) == expected
 
     def test_density_zero_with_self_loops(self):
         g = generate_random_instance(3, 0.0, True, (0.1, 0.9), seed=1)
-        assert g.topology.adj == frozenset({(0, 0), (1, 1), (2, 2)})
+        assert edge_set(g.topology) == {(0, 0), (1, 1), (2, 2)}
 
     def test_same_seed_identical_and_byte_identical(self):
         a = generate_random_instance(8, 0.4, False, (0.2, 0.8), seed=42)
