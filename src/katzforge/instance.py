@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -50,24 +50,28 @@ class UnderlyingTopology:
     """Unweighted digraph constraining who may allocate to whom.
 
     Built from 0-based integer endpoint arrays, edge k being (tails[k],
-    heads[k]), self-pairs permitted; the range is checked and a repeated
-    edge rejected.  Stored once, as the ascending read-only row-major keys
-    i*n + j, which define equality, hashing and repr.  Neighborhood reads go
+    heads[k]), self-pairs permitted; the types and range are checked and a
+    repeated edge rejected.  Stored once, as the ascending read-only
+    row-major keys i*n + j, which define equality, hashing and repr.  Neighborhood reads go
     through ``neighbor_index``, built from them: agent i's out-neighbors are
     ``cols[offsets[i]:offsets[i + 1]]``, ascending.
     """
 
     n: int
     keys: np.ndarray
-    neighbor_index: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    neighbor_index: tuple[np.ndarray, np.ndarray]
 
     def __init__(self, n: int, tails, heads):
         if n < 1:
             raise ValueError(f"agent count must be positive, got {n}")
-        tails, heads = np.asarray(tails), np.asarray(heads)
+        tails, heads = (a if isinstance(a, np.ndarray) else np.array(a, dtype=object) for a in (tails, heads))
         if tails.ndim != 1 or heads.shape != tails.shape:
             raise ValueError(f"endpoint arrays of shapes {tails.shape} and {heads.shape}: need one length")
-        if tails.size and not {tails.dtype.kind, heads.dtype.kind} <= {"i", "u", "O"}:
+        if "O" in (tails.dtype.kind, heads.dtype.kind):
+            for e in zip(tails.tolist(), heads.tolist()):
+                if not all(_is_index_type(type(v)) for v in e):
+                    raise ValueError(f"edge {e!r} has a non-integer endpoint")
+        elif not {tails.dtype.kind, heads.dtype.kind} <= {"i", "u"}:
             raise ValueError(f"endpoint arrays of dtypes {tails.dtype} and {heads.dtype}: need integers")
         outside = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
         if outside.any():
@@ -90,6 +94,9 @@ class UnderlyingTopology:
 
     def __hash__(self):
         return hash((self.n, self.keys.tobytes()))
+
+    def __repr__(self):
+        return f"UnderlyingTopology(n={self.n}, keys={self.keys.tolist()})"
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         """Agent i's underlying out-neighbors, ascending."""
@@ -247,11 +254,9 @@ def _parse_budget(value, idx: int) -> float:
 
 def _topology(edges: list, n: int) -> UnderlyingTopology | None:
     """The topology of the edges, checked as arrays in one pass; None if some
-    edge is not a pair of integers in 1..n or repeats an earlier one, and
-    also when n*n exceeds int64, where no budgets list of length n can be
-    read."""
-    if n * n > np.iinfo(np.int64).max:
-        return None
+    edge is not a pair of integers in 1..n or repeats an earlier one.  Called
+    once a budgets list of length n is read, so n, the index's O(n) arrays
+    and n*n (as int64 keys) are bounded by the document."""
     if not set(map(type, edges)) <= {list} or not set(map(len, edges)) <= {2}:
         return None
     flat = list(itertools.chain.from_iterable(edges))
@@ -296,12 +301,12 @@ def parse_instance(text: str) -> GameInstance:
     edges = doc["edges"]
     if not isinstance(edges, list):
         raise ParseError("must be a list of [i, j] pairs", field="edges")
-    topology = _topology(edges, n)
+    budgets_doc = doc["budgets"]
+    sized = isinstance(budgets_doc, list) and len(budgets_doc) == n
+    topology = _topology(edges, n) if sized else None
     if topology is None:  # name the first bad edge, in document order
         _check_each_edge(edges, n)
-
-    budgets_doc = doc["budgets"]
-    if not isinstance(budgets_doc, list) or len(budgets_doc) != n:
+    if not sized:
         raise ParseError(f"must be a list of length n={n}", field="budgets")
     budgets = tuple(_parse_budget(v, k) for k, v in enumerate(budgets_doc))
     for k, b in enumerate(budgets):

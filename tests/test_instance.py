@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -123,8 +124,14 @@ class TestTopology:
         [
             ([0, 1], [1], "endpoint arrays of shapes (2,) and (1,): need one length"),
             ([[0, 1]], [[1, 0]], "endpoint arrays of shapes (1, 2) and (1, 2): need one length"),
-            ([0, 1], [1.0, 0.0], "endpoint arrays of dtypes int64 and float64: need integers"),
-            ([True], [False], "endpoint arrays of dtypes bool and bool: need integers"),
+            (np.array([0, 1]), np.array([1.0, 0.0]), "endpoint arrays of dtypes int64 and float64: need integers"),
+            (np.array([True]), np.array([False]), "endpoint arrays of dtypes bool and bool: need integers"),
+            # sequences and object arrays are checked element by element
+            ([0, 1], [1.0, 0.0], "edge (0, 1.0) has a non-integer endpoint"),
+            ([True], [False], "edge (True, False) has a non-integer endpoint"),
+            ([1, True], [1, 0], "edge (True, 0) has a non-integer endpoint"),
+            (np.array([0.5], dtype=object), np.array([1], dtype=object), "edge (0.5, 1) has a non-integer endpoint"),
+            (np.array(["a"], dtype=object), np.array([1]), "edge ('a', 1) has a non-integer endpoint"),
         ],
     )
     def test_constructor_takes_integer_arrays_of_one_length(self, tails, heads, message):
@@ -199,6 +206,12 @@ class TestTopology:
                 for got, expected in zip(top.neighbor_index, want.neighbor_index):
                     np.testing.assert_array_equal(got, expected)
                 assert top.is_complete() == (len(edges) == n * n)
+        # the repr lists every key: two complete-minus-one-edge topologies of
+        # 1,599 edges differ in it, though numpy would shorten both alike
+        n = 40
+        a, b = (topology_from_edges(n, [(i, j) for i in range(n) for j in range(n) if (i, j) != gap])
+                for gap in ((20, 20), (20, 21)))
+        assert repr(a) != repr(b) and repr(a) == repr(topology_from_edges(n, edge_set(a)))
 
     def test_is_symmetric_matches_edge_set_oracle(self):
         rng = np.random.default_rng(1)
@@ -324,16 +337,24 @@ class TestDocuments:
 
     def test_agent_count_beyond_int64_keys(self):
         # (i-1)*n + (j-1) would not fit in int64: the edges are checked one by
-        # one, and no budgets list can have length n
+        # one, and no budgets list can have length n.  Nor is the O(n) index
+        # built before the budgets list is seen to have length n.
         for n, edges, message in (
+            (10**7, "[[1, 1]]", f"budgets: must be a list of length n={10**7}"),
             (10**30, "[[1, 2]]", f"budgets: must be a list of length n={10**30}"),
             (10**30, f"[[1, {10**25}]]", f"budgets: must be a list of length n={10**30}"),
             (10**30, "[[1, 2], [0, 1]]", f"edges[1]: agent index out of range 1..{10**30}"),
             (10**10, "[[1, 2], [1, 2]]", "edges[1]: duplicate edge [1, 2]"),
         ):
-            with pytest.raises(ParseError) as exc:
-                parse_instance(f'{{"n": {n}, "edges": {edges}, "budgets": [0.5]}}')
+            tracemalloc.start()
+            try:
+                with pytest.raises(ParseError) as exc:
+                    parse_instance(f'{{"n": {n}, "edges": {edges}, "budgets": [0.5]}}')
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             assert str(exc.value) == message
+            assert peak < 2**20
 
     @pytest.mark.parametrize(
         "bad, message",
