@@ -5,16 +5,15 @@ is a residual-checked LU with partial pivoting; I - A is strictly row
 diagonally dominant for any substochastic A, so the systems are well
 conditioned at desk scale.  ``katz_solve`` factors I - A once per call.
 One formula reads an agent's walk decomposition off column i of
-M = (I - A)^-1 and the row sums of M.  ``walk_decomposition`` gets both from
-one solve with agent i's row zeroed.  ``Resolvent`` holds a profile that
-changes one row at a time together with its M, which it keeps across row
-changes by O(n^2) Sherman-Morrison updates.  It reads any agent's
-decomposition off M in O(n), and certifies the profile's centralities when
-it is built and after each update: M 1 - 1 after one step of iterative
-refinement, once their residual passes the bound ``katz_solve`` checks.  A
-failed check refactors M and certifies again.  Best-response dynamics keep
-their profile in it and take every record's targets and centralities from
-it.
+M = (I - A)^-1 and the Katz centralities c of A.  ``walk_decomposition``
+gets both from one solve with agent i's row zeroed.  ``Resolvent`` holds a
+profile that changes one row at a time together with its M, which it keeps
+across row changes by O(n^2) Sherman-Morrison updates, and its c, which it
+certifies when it is built and after each update: M 1 - 1 after one step of
+iterative refinement, once its residual passes the bound ``katz_solve``
+checks.  A failed check refactors M and certifies again.  Decompositions
+read the certified c, in O(n).  Best-response dynamics keep their profile in
+it and take every record's targets and centralities from it.
 """
 
 from __future__ import annotations
@@ -92,17 +91,16 @@ class WalkDecomposition:
     budget: float
 
 
-def _decomposition(g: GameInstance, i: int, m_i: np.ndarray, s: np.ndarray) -> WalkDecomposition:
-    """The decomposition of focal agent ``i`` from column i of a resolvent
-    (I - A)^-1 and its row sums ``s``, scoring i's underlying out-neighbors.
+def _decomposition(g: GameInstance, i: int, m_i: np.ndarray, c: np.ndarray) -> WalkDecomposition:
+    """Focal agent ``i``'s decomposition from column i of a resolvent
+    (I - A)^-1 and the centralities ``c`` of A, scoring its out-neighbors.
 
-    Walks from j to i factor as a first visit times returns to i, so
-    q = m_i / m_ii.  Deleting i leaves the Schur complement, whose row sums
-    give p + 1 = s - m_i s_i / m_ii.  Entries at i are then set by the
-    conventions.
+    Walks from j that reach i factor as a first visit times a walk from i:
+    the first visits sum to q = m_i / m_ii, so p = c - q (1 + c_i).  Entries
+    at i are then set by the conventions.
     """
     q = m_i / m_i[i]
-    p = s - m_i * (s[i] / m_i[i]) - 1.0
+    p = c - q * (1.0 + c[i])
     d = p + q + 1.0
     q[i] = 1.0
     d[i] = 1.0
@@ -137,7 +135,7 @@ def _require_agent(n: int, i: int) -> int:
 
 def walk_decomposition(g: GameInstance, w: AllocationProfile, i: int) -> WalkDecomposition:
     """Compute p, q, d, f for focal agent ``i`` by one solve with two
-    right-hand sides, e_i and 1: column i of (I - A)^-1 and its row sums.
+    right-hand sides, e_i and A 1: column i of (I - A)^-1 and c(A).
 
     A is A(w) with row i zeroed, so the result is independent of agent i's
     own row by construction.  ``game.best_response`` reads agent i's best
@@ -148,7 +146,7 @@ def walk_decomposition(g: GameInstance, w: AllocationProfile, i: int) -> WalkDec
     n = g.n
     a = np.array(w.weights)
     a[i] = 0.0
-    x = _solve_checked(np.eye(n) - a, np.column_stack((np.arange(n) == i, np.ones(n))))
+    x = _solve_checked(np.eye(n) - a, np.column_stack((np.arange(n) == i, a @ np.ones(n))))
     return _decomposition(g, i, x[:, 0], x[:, 1])
 
 
@@ -169,11 +167,11 @@ class Resolvent:
     certified Katz centralities of the current profile: c = M 1 - 1 after
     one step of iterative refinement, accepted only when max |c - A c - A 1|
     is within ``SOLVE_RESIDUAL_TOL * n``, the bound ``katz_solve`` checks.
-    ``replace_row`` applies the Sherman-Morrison update for a changed row
-    and certifies again.  A non-positive update denominator or a failed
-    check refactors M from scratch, counted in ``rebuilds``, and certifies
-    once more; a check that fails right after a fresh factorization raises
-    ArithmeticError.
+    Decompositions read it with column i of M.  ``replace_row`` applies the
+    Sherman-Morrison update for a changed row and certifies again.  A
+    non-positive update denominator or a failed check refactors M from
+    scratch, counted in ``rebuilds``, and certifies once more; a check that
+    fails right after a fresh factorization raises ArithmeticError.
 
     Near budgets of 1, M 1 - 1 is off by up to 1 / (1 - B_M) times the
     rounding of M, and so is a refinement whose residual is rounded at the
@@ -199,7 +197,6 @@ class Resolvent:
     def _factor(self) -> None:
         n = len(self._a_1)
         self._m = _solve_checked(np.eye(n) - self.weights(), np.eye(n))
-        self._s = self._m.sum(axis=1)
 
     def _residual(self, c: np.ndarray) -> np.ndarray:
         """(I - A) c - A 1, with A_hi c_hi exact (see the class docstring)."""
@@ -212,7 +209,7 @@ class Resolvent:
         """M 1 - 1 after one step of iterative refinement, once its residual
         passes the check; on a failure, ``fresh`` says whether M was just
         factored (raise) or may have drifted (refactor and check again)."""
-        c = self._s - 1.0
+        c = self._m.sum(axis=1) - 1.0
         c -= self._m @ self._residual(c)
         residual = np.max(np.abs(self._residual(c)))
         if residual <= SOLVE_RESIDUAL_TOL * len(c):  # NaN fails too
@@ -235,7 +232,7 @@ class Resolvent:
 
     def decomposition(self, g: GameInstance, i: int) -> WalkDecomposition:
         """The walk decomposition of focal agent ``i`` in O(n)."""
-        return _decomposition(g, i, self._m[:, i], self._s)
+        return _decomposition(g, i, self._m[:, i], self.centralities)
 
     def replace_row(self, i: int, row: np.ndarray) -> np.ndarray:
         """Set row ``i`` of A to ``row`` and return the new ``centralities``,
@@ -248,7 +245,6 @@ class Resolvent:
         denom = 1.0 - delta_m[i]
         if denom > 0:
             self._m += np.multiply.outer(self._m[:, i] / denom, delta_m)
-            self._s = self._m.sum(axis=1)
         else:
             self.rebuilds += 1
             self._factor()

@@ -136,8 +136,11 @@ class BrdTrace:
     steps: tuple[BrdStep, ...]
     terminal: AllocationProfile
     status: str
-    total_steps: int
     config: BrdConfig
+
+    @property
+    def total_steps(self) -> int:
+        return self.steps[-1].step
 
     @property
     def n(self) -> int:
@@ -212,7 +215,7 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
                     f"step {k}: centrality of agent {i + 1} did not strictly increase"
                 )
         steps.append(_record(k, i, row, c, residual))
-    return BrdTrace(tuple(steps), AllocationProfile(resolvent.weights()), status, k, cfg)
+    return BrdTrace(tuple(steps), AllocationProfile(resolvent.weights()), status, cfg)
 
 
 # --- trace artifacts --------------------------------------------------------

@@ -1,4 +1,5 @@
-"""In-process timings of katzforge's artifact I/O: a parent tree against a change.
+"""In-process timings of katzforge's artifact I/O and BRD runs: a parent tree
+against a change.
 
 Loads two source trees of the package side by side (as ``kf_parent`` and
 ``kf_change``) and times, alternating which side goes first in each repeat:
@@ -12,16 +13,19 @@ Loads two source trees of the package side by side (as ``kf_parent`` and
   saves nothing;
 - ``parse_instance`` on an n=200 instance of density 0.1 and on complete
   n=60 and n=1000 instances, and ``generate_random_instance`` making them;
-- ``random_profile`` on the six ``brd-near1`` seed-1 instances.
+- ``random_profile`` on the six ``brd-near1`` seed-1 instances;
+- ``run_brd``, modified round-robin, on the ``brd-near1`` runs and the runs
+  from zero that the writers get.
 
-The traces are built once, with the change's ``run_brd``; only the timed
-call differs between the sides.  Each writer case also reports the share of
-c_j entries whose bits did not change since the previous record and the
-share of zero-bit weights, which is what the writers skip.  Every pair of
-outputs must be identical: the same file bytes, the same instance, the same
-weights; they are compared in an untimed first call of each side.  One
-sample is one wall-clock call over all the inputs of its case, with no
-output of another sample still alive.
+The writers' traces are built once, with the change's ``run_brd``; only the
+timed call differs between the sides.  The ``random_profile`` and ``run_brd``
+cases build each side's inputs with that side's package.  Each writer case
+also reports the share of c_j entries whose bits did not change since the
+previous record and the share of zero-bit weights, which is what the writers
+skip.  Every pair of outputs must be identical: the same file bytes, the same
+instance, the same weights, the same trace bits; they are compared in an
+untimed first call of each side.  One sample is one wall-clock call over all
+the inputs of its case, with no output of another sample still alive.
 BLAS runs on one thread.  Prints one JSON document (or writes it to
 ``--out``):
 
@@ -75,19 +79,35 @@ def w0_seed(kf) -> int:
     return importlib.import_module(f"{kf.__name__}.cli")._derived_seeds(RUN_SEED, 2)[1]
 
 
-def near1_traces(kf) -> list:
-    cfg = kf.BrdConfig(mode="modified")
-    return [kf.run_brd(g, kf.random_profile(g, w0_seed(kf)), cfg) for g in near1_instances(kf)]
+# BRD inputs, a list of (game, w0) pairs each: the brd-near1 instances from
+# the CLI's w0, and one instance from zero or, complete, from random_profile(g, 1)
+def near1_starts(kf) -> list:
+    return [(g, kf.random_profile(g, w0_seed(kf))) for g in near1_instances(kf)]
 
 
-def zero_start_trace(kf, n: int, density: float):
+def zero_start(kf, n: int, density: float) -> list:
     g = kf.generate_random_instance(n, density, True, (0.1, 0.9), 1)
-    return kf.run_brd(g, kf.AllocationProfile.zeros(n), kf.BrdConfig(mode="modified"))
+    return [(g, kf.AllocationProfile.zeros(n))]
 
 
-def complete_random_start_trace(kf, n: int):
+def complete_random_start(kf, n: int) -> list:
     g = kf.generate_random_instance(n, 1.0, True, (0.1, 0.9), 1)
-    return kf.run_brd(g, kf.random_profile(g, 1), kf.BrdConfig(mode="modified"))
+    return [(g, kf.random_profile(g, 1))]
+
+
+def modified_runs(kf, starts: list) -> list:
+    """Modified round-robin BRD from each start."""
+    return [kf.run_brd(g, w0, kf.BrdConfig(mode="modified")) for g, w0 in starts]
+
+
+def trace_bits(trace) -> tuple:
+    """The status, every record's agent, row, centralities and residual, and
+    the terminal weights, floats as their bytes."""
+    records = [
+        (s.agent, None if s.row is None else s.row.tobytes(), s.centralities.tobytes(), np.float64(s.residual).tobytes())
+        for s in trace.steps
+    ]
+    return trace.status, records, trace.terminal.weights.tobytes()
 
 
 def all_moving_trace(kf, n: int, records: int):
@@ -98,7 +118,7 @@ def all_moving_trace(kf, n: int, records: int):
     for k in range(1, records):
         steps.append(kf.BrdStep(k, k % n, rng.uniform(0.1, 1, n) / n, rng.uniform(1, 2, n), 1 / k))
     terminal = kf.AllocationProfile(rng.uniform(0.1, 1, (n, n)) / n)
-    return kf.BrdTrace(tuple(steps), terminal, "step-limit", records - 1, kf.BrdConfig(mode="modified"))
+    return kf.BrdTrace(tuple(steps), terminal, "step-limit", kf.BrdConfig(mode="modified"))
 
 
 def skipped_shares(runs: list) -> dict:
@@ -119,12 +139,14 @@ def cases(parent, change, work: Path) -> dict:
     """name -> (what, {side: call}, compare): each call returns its outputs,
     and ``compare(a, b)`` is True when the two sides' outputs agree."""
     meta = {"seed": RUN_SEED, "mode": "modified", "w0": "random"}
-    traces = {
-        "brd-near1-seed1": near1_traces(change),
-        "zero-n500-d0.05": [zero_start_trace(change, 500, 0.05)],
-        "zero-n1000-d0.02": [zero_start_trace(change, 1000, 0.02)],
-        "complete-random-n200": [complete_random_start_trace(change, 200)],
-        "complete-random-n500": [complete_random_start_trace(change, 500)],
+    brd = {
+        "brd-near1-seed1": near1_starts,
+        "zero-n500-d0.05": lambda kf: zero_start(kf, 500, 0.05),
+        "zero-n1000-d0.02": lambda kf: zero_start(kf, 1000, 0.02),
+    }
+    traces = {key: modified_runs(change, starts(change)) for key, starts in brd.items()} | {
+        "complete-random-n200": modified_runs(change, complete_random_start(change, 200)),
+        "complete-random-n500": modified_runs(change, complete_random_start(change, 500)),
         "all-moving-n200": [all_moving_trace(change, 200, 263)],
         "all-moving-n500": [all_moving_trace(change, 500, 689)],
     }
@@ -178,6 +200,18 @@ def cases(parent, change, work: Path) -> dict:
         calls,
         lambda a, b: all(x.tobytes() == y.tobytes() for x, y in zip(a, b)),
     )
+
+    for key, starts in brd.items():
+        inputs = {side: starts(kf) for side, kf in (("parent", parent), ("change", change))}
+        calls = {
+            side: (lambda kf=kf, starts=inputs[side]: modified_runs(kf, starts))
+            for side, kf in (("parent", parent), ("change", change))
+        }
+        out[f"run_brd/{key}"] = (
+            f"run_brd, modified round-robin, on {len(inputs['change'])} (game, w0) pair(s)",
+            calls,
+            lambda a, b: list(map(trace_bits, a)) == list(map(trace_bits, b)),
+        )
     return out
 
 

@@ -275,12 +275,11 @@ def _standard_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
     residual = float(np.max(np.abs(gaps)))
     steps = [_record(0, None, None, c, residual)]
     if residual <= cfg.tol:
-        return BrdTrace(tuple(steps), w, CONVERGED, 0, cfg)
+        return BrdTrace(tuple(steps), w, CONVERGED, cfg)
 
     limit = cfg.max_steps if cfg.max_steps is not None else STEP_LIMIT_FACTOR * g.n
     state = cfg.scheduler.start(g.n)
     status = STEP_LIMIT
-    total = 0
     for k in range(1, limit + 1):
         i = state.pick()
         if i is None:  # explicit schedule exhausted
@@ -295,11 +294,10 @@ def _standard_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
             gaps = v_map(g, c) - c
             residual = float(np.max(np.abs(gaps)))
         steps.append(_record(k, i, row, c, residual))
-        total = k
         if residual <= cfg.tol:
             status = CONVERGED
             break
-    return BrdTrace(tuple(steps), w, status, total, cfg)
+    return BrdTrace(tuple(steps), w, status, cfg)
 
 
 def _modified_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig) -> BrdTrace:
@@ -312,7 +310,7 @@ def _modified_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
     steps = [_record(0, None, None, c, residual)]
     improvers = [i for i in range(g.n) if gaps[i] > cfg.tol]
     if not improvers:
-        return BrdTrace(tuple(steps), w, CONVERGED, 0, cfg)
+        return BrdTrace(tuple(steps), w, CONVERGED, cfg)
 
     state = cfg.scheduler.start(g.n)
     status = CONVERGED
@@ -338,7 +336,7 @@ def _modified_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
         residual = float(np.max(np.abs(gaps)))
         steps.append(_record(k, i, br.canonical, c, residual))
         improvers = [j for j in range(g.n) if gaps[j] > cfg.tol]
-    return BrdTrace(tuple(steps), w, status, k, cfg)
+    return BrdTrace(tuple(steps), w, status, cfg)
 
 
 def write_trace_csv_oracle(trace: BrdTrace, path, meta: dict | None = None) -> None:

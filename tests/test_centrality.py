@@ -324,6 +324,13 @@ class TestResolvent:
             c, want = res.replace_row(i, row), katz_solve(w)
             assert res.rebuilds == 0
             assert np.max(np.abs(c - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
+            # the drift reaches a decomposition only through q: p is scored
+            # from the certified c, so its error is q's times 1 + c_j
+            for j in range(g.n):
+                got, ref = res.decomposition(g, j), walk_decomposition(g, w, j)
+                off = np.arange(g.n) != j
+                dp, dq = np.abs(got.p - ref.p)[off], np.abs(got.q - ref.q)[off]
+                assert np.all(dp <= dq * (1.0 + c[j]) + CROSS_CHECK_TOL * max(1.0, float(np.max(c))))
 
     def test_infeasible_profile_rejected(self):
         with pytest.raises(FeasibilityError, match="row 1"):

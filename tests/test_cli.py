@@ -251,6 +251,11 @@ class TestVerify:
         assert main(["verify", str(i3_file), str(zero)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] is False
+        # with -o the verdict goes to the file and stdout gets one summary line
+        out = tmp_path / "verdict.json"
+        assert main(["verify", str(i3_file), str(zero), "-o", str(out)]) == 0
+        assert capsys.readouterr().out == "verdict=False residual=5.000e-01 v_gaps=[5.000e-01 2.500e-01]\n"
+        assert json.loads(out.read_text()) == doc
 
     def test_support_violation_is_infeasible(self, tmp_path, capsys):
         inst = tmp_path / "i2.json"

@@ -660,7 +660,7 @@ def _hand_trace(records, terminal) -> BrdTrace:
         BrdStep(k, agent, None if row is None else np.array(row, dtype=float), np.array(c, dtype=float), residual)
         for k, (agent, row, c, residual) in enumerate(records)
     )
-    return BrdTrace(steps, AllocationProfile(np.array(terminal, dtype=float)), "step-limit", len(steps) - 1, BrdConfig())
+    return BrdTrace(steps, AllocationProfile(np.array(terminal, dtype=float)), "step-limit", BrdConfig())
 
 
 HAND_TRACES = {

@@ -203,6 +203,9 @@ class TestTopology:
                 want, shuffled = (topology_from_edges(n, sorted(edges, key=lambda e: rng.random())) for _ in range(2))
                 for other in (want, shuffled):
                     assert top == other and hash(top) == hash(other) and repr(top) == repr(other)
+                # another type is never equal, even one holding the same keys
+                for other in ((top.n, top.keys.tolist()), repr(top), None):
+                    assert not top == other and top != other
                 for got, expected in zip(top.neighbor_index, want.neighbor_index):
                     np.testing.assert_array_equal(got, expected)
                 assert top.is_complete() == (len(edges) == n * n)
