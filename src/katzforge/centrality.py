@@ -4,16 +4,26 @@ Centrality vectors are plain float ndarrays of length n.  Every dense solve
 is a residual-checked LU with partial pivoting; I - A is strictly row
 diagonally dominant for any substochastic A, so the systems are well
 conditioned at desk scale.  ``katz_solve`` factors I - A once per call.
-One formula reads an agent's walk decomposition off column i of
-M = (I - A)^-1 and the Katz centralities c of A.  ``walk_decomposition``
-gets both from one solve with agent i's row zeroed.  ``Resolvent`` holds a
-profile that changes one row at a time together with its M, which it keeps
-across row changes by O(n^2) Sherman-Morrison updates, and its c, which it
-certifies when it is built and after each update: M 1 - 1 after one step of
-iterative refinement, once its residual passes the bound ``katz_solve``
-checks.  A failed check refactors M and certifies again.  Decompositions
-read the certified c, in O(n).  Best-response dynamics keep their profile in
-it and take every record's targets and centralities from it.
+One formula reads an agent's walk decomposition off its first-visit sums q
+and the Katz centralities c of A.  ``walk_decomposition`` gets both from one
+solve with agent i's row zeroed.  Two classes hold a profile that changes
+one row at a time together with its certified c, and read decompositions
+off it in O(n):
+
+- ``Resolvent`` holds any profile with M = (I - A)^-1, which gives q as
+  column i of M over m_ii.  It keeps M across row changes by O(n^2)
+  Sherman-Morrison updates, and certifies c when it is built and after each
+  update: M 1 - 1 after one step of iterative refinement, once its residual
+  passes the bound ``katz_solve`` checks.  A failed check refactors M and
+  certifies again.
+- ``InForest`` holds a profile in which every row has at most one positive
+  entry, a functional graph, with no n x n matrix.  q lives on agent i's
+  in-tree, and a row change updates c on the mover's in-tree alone; each
+  update passes the same residual check, in O(n), after at most one step
+  of refinement on that tree, or c is taken from a fresh ``Resolvent``.
+
+Best-response dynamics keep their profile in one of them and take every
+record's targets and centralities from it.
 """
 
 from __future__ import annotations
@@ -91,15 +101,15 @@ class WalkDecomposition:
     budget: float
 
 
-def _decomposition(g: GameInstance, i: int, m_i: np.ndarray, c: np.ndarray) -> WalkDecomposition:
-    """Focal agent ``i``'s decomposition from column i of a resolvent
-    (I - A)^-1 and the centralities ``c`` of A, scoring its out-neighbors.
+def _decomposition(g: GameInstance, i: int, q: np.ndarray, c: np.ndarray) -> WalkDecomposition:
+    """Focal agent ``i``'s decomposition from its first-visit sums ``q``,
+    which it takes over, and the centralities ``c`` of A, scoring its
+    out-neighbors.
 
     Walks from j that reach i factor as a first visit times a walk from i:
-    the first visits sum to q = m_i / m_ii, so p = c - q (1 + c_i).  Entries
-    at i are then set by the conventions.
+    the first visits sum to q_j (column i of (I - A)^-1 over its entry at i),
+    so p = c - q (1 + c_i).  Entries at i are then set by the conventions.
     """
-    q = m_i / m_i[i]
     p = c - q * (1.0 + c[i])
     d = p + q + 1.0
     q[i] = 1.0
@@ -147,7 +157,7 @@ def walk_decomposition(g: GameInstance, w: AllocationProfile, i: int) -> WalkDec
     a = np.array(w.weights)
     a[i] = 0.0
     x = _solve_checked(np.eye(n) - a, np.column_stack((np.arange(n) == i, a @ np.ones(n))))
-    return _decomposition(g, i, x[:, 0], x[:, 1])
+    return _decomposition(g, i, x[:, 0] / x[i, 0], x[:, 1])
 
 
 def _on_grid(x: np.ndarray, e: int) -> np.ndarray:
@@ -158,6 +168,16 @@ def _on_grid(x: np.ndarray, e: int) -> np.ndarray:
     np.round(y, out=y)
     y /= scale
     return y
+
+
+def _residual(c: np.ndarray, hi, lo, a_1: np.ndarray) -> np.ndarray:
+    """(I - A) c - A 1 for A = A_hi + A_lo, with A_hi on the grid of 2^-26,
+    ``hi`` and ``lo`` the products x -> A_hi x and x -> A_lo x, and ``a_1``
+    the row sums A 1: A_hi c_hi is exact (see ``Resolvent``)."""
+    e = int(np.frexp(max(1.0, float(np.max(np.abs(c)))))[1])  # |c| < 2^e
+    c_hi = _on_grid(c, e)
+    small = hi(c - c_hi) + lo(c) + a_1
+    return (c - hi(c_hi)) - small
 
 
 class Resolvent:
@@ -200,10 +220,7 @@ class Resolvent:
 
     def _residual(self, c: np.ndarray) -> np.ndarray:
         """(I - A) c - A 1, with A_hi c_hi exact (see the class docstring)."""
-        e = int(np.frexp(max(1.0, float(np.max(np.abs(c)))))[1])  # |c| < 2^e
-        c_hi = _on_grid(c, e)
-        small = self._a_hi @ (c - c_hi) + self._a_lo @ c + self._a_1
-        return (c - self._a_hi @ c_hi) - small
+        return _residual(c, self._a_hi.__matmul__, self._a_lo.__matmul__, self._a_1)
 
     def _certified(self, fresh: bool) -> np.ndarray:
         """M 1 - 1 after one step of iterative refinement, once its residual
@@ -232,7 +249,7 @@ class Resolvent:
 
     def decomposition(self, g: GameInstance, i: int) -> WalkDecomposition:
         """The walk decomposition of focal agent ``i`` in O(n)."""
-        return _decomposition(g, i, self._m[:, i], self.centralities)
+        return _decomposition(g, i, self._m[:, i] / self._m[i, i], self.centralities)
 
     def replace_row(self, i: int, row: np.ndarray) -> np.ndarray:
         """Set row ``i`` of A to ``row`` and return the new ``centralities``,
@@ -250,3 +267,142 @@ class Resolvent:
             self._factor()
         self.centralities = self._certified(fresh=not denom > 0)
         return self.centralities
+
+
+def _within_bound(r: np.ndarray) -> bool:
+    return np.max(np.abs(r)) <= SOLVE_RESIDUAL_TOL * len(r)  # NaN fails too
+
+
+class InForest:
+    """A profile in which every row has at most one positive entry: a
+    successor and a weight per row (successor -1 for an empty row), each
+    agent's set of predecessors, and the certified centralities c.
+
+    Such a profile is a functional graph.  The walks that reach agent i run
+    through i's in-tree, the agents whose path of successors reaches i
+    before it leaves i again: q_u is the product of the weights on u's path
+    to i, q_i = 1, and q = 0 off the tree.  ``decomposition`` walks the tree
+    through the predecessor sets, in time proportional to its size, and
+    scores with c as ``Resolvent`` does.  ``replace_row`` moves i to a new
+    successor j with weight w: by Sherman-Morrison read on the forest, i's
+    centrality becomes c_i' = w d_j / (1 - q_j w), and each c_u on the tree
+    moves by q_u (c_i' - c_i).  Every update is certified in O(n): the
+    residual c_u - w_u (1 + c_succ(u)), or c_u on an empty row, with the
+    products split as ``Resolvent`` splits them, must be within
+    ``SOLVE_RESIDUAL_TOL * n``.  Near budgets of 1 the rounding of q_u times
+    a large c_i' - c_i alone can break that bound, so a failed check first
+    refines c once on the in-tree, as ``Resolvent`` refines with M: it
+    subtracts the x with (I - A) x = r there, by back substitution.  If the
+    check fails again, c is taken from a fresh ``Resolvent`` of the profile,
+    counted in ``rebuilds``; that build raises ArithmeticError if its own
+    check fails.
+    """
+
+    def __init__(self, a: np.ndarray, c: np.ndarray):
+        """The profile ``a``, as an n x n array, and its certified
+        centralities ``c``, which are kept and never written."""
+        rows, cols = np.nonzero(a)  # rows ascend
+        if np.any(rows[1:] == rows[:-1]):
+            raise ValueError("a row of the profile has more than one positive entry")
+        n = len(a)
+        self._succ = np.full(n, -1)
+        self._succ[rows] = cols
+        self._w = np.zeros(n)
+        self._w[rows] = a[rows, cols]
+        self._preds = [set() for _ in range(n)]
+        for u, s in zip(rows.tolist(), cols.tolist()):
+            self._preds[s].add(u)
+        self.centralities = c
+        self.rebuilds = 0
+        self._tree = None  # the last walk's (i, q, tree agents, their q), until a row changes
+
+    def _in_tree(self, i: int) -> tuple:
+        if self._tree is None or self._tree[0] != i:
+            succ, w = self._succ, self._w
+            nodes = [i]
+            for v in nodes:  # breadth first, so that a successor's q comes first
+                nodes.extend(u for u in self._preds[v] if u != i)
+            q = np.zeros(len(succ))
+            q[i] = 1.0
+            for u in nodes[1:]:
+                q[u] = w[u] * q[succ[u]]
+            nodes = np.array(nodes)
+            self._tree = (i, q, nodes, q[nodes])
+        return self._tree
+
+    def _residual(self, c: np.ndarray) -> np.ndarray:
+        """(I - A) c - A 1 as ``Resolvent`` computes it, gathered in O(n)."""
+        succ, w = self._succ, self._w
+        w_hi = _on_grid(w, 0)
+        w_lo = w - w_hi
+        return _residual(c, lambda x: w_hi * x[succ], lambda x: w_lo * x[succ], w)
+
+    def row(self, i: int) -> np.ndarray:
+        """A new array holding row ``i`` of A."""
+        row = np.zeros(len(self._succ))
+        if self._succ[i] >= 0:
+            row[self._succ[i]] = self._w[i]
+        return row
+
+    def weights(self) -> np.ndarray:
+        """A new n x n array holding A."""
+        n = len(self._succ)
+        a = np.zeros((n, n))
+        rows = np.flatnonzero(self._succ >= 0)
+        a[rows, self._succ[rows]] = self._w[rows]
+        return a
+
+    def decomposition(self, g: GameInstance, i: int) -> WalkDecomposition:
+        """The walk decomposition of focal agent ``i``, in O(n) plus a walk
+        of its in-tree."""
+        return _decomposition(g, i, self._in_tree(i)[1].copy(), self.centralities)
+
+    def replace_row(self, i: int, row: np.ndarray) -> np.ndarray:
+        """Set row ``i`` of A to ``row``, which has at most one positive
+        entry, and return the new ``centralities``, in O(n) plus a walk of
+        i's in-tree unless the check fails."""
+        targets = np.flatnonzero(row)
+        if len(targets) > 1:
+            raise ValueError(f"row {i + 1} has more than one positive entry")
+        _, q, nodes, q_nodes = self._in_tree(i)
+        c = self.centralities
+        j, w, c_i = -1, 0.0, 0.0
+        if len(targets):
+            j = int(targets[0])
+            w = float(row[j])
+            # d_j and q_j as _decomposition computes them
+            d_j = 1.0 if j == i else c[j] - q[j] * (1.0 + c[i]) + q[j] + 1.0
+            c_i = d_j * w / (1.0 - q[j] * w)
+        c = c.copy()
+        c[nodes] += q_nodes * (c_i - c[i])
+        c[i] = c_i
+        if self._succ[i] >= 0:
+            self._preds[self._succ[i]].discard(i)
+        if j >= 0:
+            self._preds[j].add(i)
+        self._succ[i], self._w[i] = j, w
+        r = self._residual(c)
+        if not _within_bound(r):
+            # i's in-tree, and its q, are the same after i's own move
+            c -= self._tree_solve(i, r)
+            if not _within_bound(self._residual(c)):
+                self.rebuilds += 1
+                c = Resolvent(self.weights()).centralities
+        self._tree = None
+        self.centralities = c
+        return c
+
+    def _tree_solve(self, i: int, r: np.ndarray) -> np.ndarray:
+        """x with (I - A) x = r on i's in-tree and x = 0 off it, for the
+        current row of i: x_u = r_u + w_u x_succ(u), closed by i's row."""
+        _, q, nodes, q_nodes = self._in_tree(i)
+        succ, w = self._succ, self._w
+        t = np.zeros(len(succ))  # the same sums with x_i = r_i
+        t[i] = r[i]
+        for u in nodes[1:].tolist():
+            t[u] = r[u] + w[u] * t[succ[u]]
+        j = succ[i]
+        x_i = r[i] if j < 0 else r[i] + w[i] * t[j] / (1.0 - w[i] * q[j])
+        x = np.zeros(len(succ))
+        x[nodes] = t[nodes] + q_nodes * (x_i - r[i])
+        return x

@@ -8,13 +8,18 @@ v(c(w)) - c(w) of the current profile, never on profile stability: profiles
 may keep moving between tied best responses while the centralities are
 already at the fixed point.
 
-A ``Resolvent`` built from w0 is the run's one copy of the profile, and
-the run's one dense solve: a best-response step makes none, unless a
-residual check fails and M is refactored.  Every recorded c is certified by
-the same refinement and residual check, step 0's at the build and each
-move's after the O(n^2) rank-one update that writes the move.  The mover's
-target is read off the resolvent, so are a lazy step's row and the terminal
-weights, and the terminal ``AllocationProfile`` is built once.
+The run keeps one copy of its profile, in one of two holders from
+``centrality``, and takes every mover's target, a lazy step's row and the
+terminal weights from it; the terminal ``AllocationProfile`` is built once.
+Each move writes a single-edge row, so after an agent's first move its row
+is single-edge.  While w0 still has a row with several positive entries,
+the profile lives in a ``Resolvent``: one dense solve, then an O(n^2)
+rank-one update per move.  When a move replaces the last such row, or from
+the start if there is none, it lives in an ``InForest``: a step walks the
+mover's in-tree and updates c on it, with no n x n matrix.  From zero the
+run makes no solve at all; from a nonzero single-edge w0 it makes one, for
+step 0's c.  Every recorded c is certified by a residual check; a failed
+check is mended by refinement or, failing that, a fresh factorization.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .centrality import Resolvent
+from .centrality import InForest, Resolvent
 from .game import DEFAULT_TOL, best_response, improvement_gaps, require_tol
-from .instance import AllocationProfile, GameInstance, _philox, require_feasible
+from .instance import AllocationProfile, GameInstance, _is_index_type, _philox, require_feasible
 
 # Default step limit for standard BRD, per agent (convergence is asymptotic).
 STEP_LIMIT_FACTOR = 500
@@ -54,8 +59,15 @@ class Scheduler:
             raise ValueError(f"unknown scheduler kind {self.kind!r}")
         if self.kind == UNIFORM_RANDOM and self.seed is None:
             raise ValueError("uniform-random scheduler requires a seed")
+        if self.kind == UNIFORM_RANDOM and not _is_index_type(type(self.seed)):
+            raise ValueError(f"scheduler seed must be an integer, got {self.seed!r}")
         if self.kind == EXPLICIT and not self.sequence:
             raise ValueError("explicit scheduler requires a nonempty sequence")
+        if self.kind == EXPLICIT:
+            for i in self.sequence:
+                if not _is_index_type(type(i)):
+                    raise ValueError(f"scheduled agent must be an integer, got {i!r}")
+            object.__setattr__(self, "sequence", tuple(map(int, self.sequence)))
 
     @classmethod
     def round_robin(cls) -> Scheduler:
@@ -67,7 +79,7 @@ class Scheduler:
 
     @classmethod
     def explicit(cls, sequence: Sequence[int]) -> Scheduler:
-        return cls(kind=EXPLICIT, sequence=tuple(int(i) for i in sequence))
+        return cls(kind=EXPLICIT, sequence=tuple(sequence))
 
     def start(self, n: int) -> _ScheduleState:
         return _ScheduleState(self, n)
@@ -112,8 +124,8 @@ class BrdConfig:
     mode: str = "standard"
 
     def __post_init__(self):
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.max_steps is not None and not (_is_index_type(type(self.max_steps)) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         require_tol(self.tol)
         if self.mode not in ("standard", "modified"):
             raise ValueError(f"mode must be 'standard' or 'modified', got {self.mode!r}")
@@ -171,9 +183,13 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
     the mover's centrality (else ArithmeticError), so the run converges, with
     no gap above ``cfg.tol``, in finitely many steps; it has no default limit.
 
-    The profile lives in one ``Resolvent``: one dense solve per run, plus
-    one per failed residual check.  Every record's centralities, step 0's
-    included, pass its residual check; ArithmeticError if they cannot.
+    The profile lives in a ``Resolvent`` while w0 has a row with several
+    positive entries, and in an ``InForest`` from the move that replaces
+    the last one, or from the start if w0 has none.  A run makes one dense
+    solve, none from zero, plus one for each check that refinement cannot
+    mend.  Every
+    record's centralities, step 0's included, pass a residual check;
+    ArithmeticError if they cannot.
     """
     cfg = cfg or BrdConfig()
     require_feasible(g, w0)
@@ -182,8 +198,13 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
     if limit is None and not modified:
         limit = STEP_LIMIT_FACTOR * g.n
 
-    resolvent = Resolvent(w0)  # the run's profile: every move goes in by replace_row
-    c = resolvent.centralities
+    # the rows with several positive entries; a move writes a single-edge row
+    multi_edge = set(np.flatnonzero(np.count_nonzero(w0.weights, axis=1) > 1).tolist())
+    if multi_edge:
+        profile = Resolvent(w0)  # the run's profile: every move goes in by replace_row
+    else:  # c = 0 is exact for the zero profile
+        profile = InForest(w0.weights, Resolvent(w0).centralities if w0.weights.any() else np.zeros(g.n))
+    c = profile.centralities
     gaps = improvement_gaps(g, c)
     residual = float(np.max(np.abs(gaps)))
     steps = [_record(0, None, None, c, residual)]
@@ -203,19 +224,23 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
             break
         k += 1
         if cfg.lazy and gaps[i] <= cfg.tol:  # never true for a modified-mode improver
-            row = resolvent.row(i)
+            row = profile.row(i)
         else:
-            row = best_response(resolvent.decomposition(g, i)).canonical
+            row = best_response(profile.decomposition(g, i)).canonical
             c_prev = c
-            c = resolvent.replace_row(i, row)
-            gaps = improvement_gaps(g, c)
-            residual = float(np.max(np.abs(gaps)))
+            c = profile.replace_row(i, row)
             if modified and not c[i] > c_prev[i]:
                 raise ArithmeticError(
                     f"step {k}: centrality of agent {i + 1} did not strictly increase"
                 )
+            if i in multi_edge:
+                multi_edge.discard(i)
+                if not multi_edge:  # the last multi-edge row is gone, and M with it
+                    profile = InForest(profile.weights(), c)
+            gaps = improvement_gaps(g, c)
+            residual = float(np.max(np.abs(gaps)))
         steps.append(_record(k, i, row, c, residual))
-    return BrdTrace(tuple(steps), AllocationProfile(resolvent.weights()), status, cfg)
+    return BrdTrace(tuple(steps), AllocationProfile(profile.weights()), status, cfg)
 
 
 # --- trace artifacts --------------------------------------------------------

@@ -14,8 +14,11 @@ Loads two source trees of the package side by side (as ``kf_parent`` and
 - ``parse_instance`` on an n=200 instance of density 0.1 and on complete
   n=60 and n=1000 instances, and ``generate_random_instance`` making them;
 - ``random_profile`` on the six ``brd-near1`` seed-1 instances;
-- ``run_brd``, modified round-robin, on the ``brd-near1`` runs and the runs
-  from zero that the writers get.
+- ``run_brd``, modified round-robin, on the ``brd-near1`` runs, on the runs
+  from zero that the writers get, from zero on a directed line of n=1000
+  with self-loops and budgets rising from 0.1 to 0.9 along it (every
+  in-tree grows to the whole line), and from a nonzero single-edge w0 on
+  the n=500 instance.
 
 The writers' traces are built once, with the change's ``run_brd``; only the
 timed call differs between the sides.  The ``random_profile`` and ``run_brd``
@@ -23,8 +26,11 @@ cases build each side's inputs with that side's package.  Each writer case
 also reports the share of c_j entries whose bits did not change since the
 previous record and the share of zero-bit weights, which is what the writers
 skip.  Every pair of outputs must be identical: the same file bytes, the same
-instance, the same weights, the same trace bits; they are compared in an
-untimed first call of each side.  One sample is one wall-clock call over all
+instance, the same weights; two ``run_brd`` traces must have the same
+status, agents, rows and terminal weights, bit for bit, and the largest
+difference of a record's centralities or residual, relative to
+max(1, max c), is reported.  The outputs are compared in an untimed first
+call of each side.  One sample is one wall-clock call over all
 the inputs of its case, with no output of another sample still alive.
 BLAS runs on one thread.  Prints one JSON document (or writes it to
 ``--out``):
@@ -100,14 +106,44 @@ def modified_runs(kf, starts: list) -> list:
     return [kf.run_brd(g, w0, kf.BrdConfig(mode="modified")) for g, w0 in starts]
 
 
-def trace_bits(trace) -> tuple:
-    """The status, every record's agent, row, centralities and residual, and
-    the terminal weights, floats as their bytes."""
-    records = [
-        (s.agent, None if s.row is None else s.row.tobytes(), s.centralities.tobytes(), np.float64(s.residual).tobytes())
-        for s in trace.steps
-    ]
-    return trace.status, records, trace.terminal.weights.tobytes()
+def line_start(kf, n: int) -> list:
+    """A directed line 0 -> 1 -> ... -> n-1 with self-loops and budgets
+    rising along it, from zero."""
+    edges = [(i, i + 1) for i in range(n - 1)] + [(i, i) for i in range(n)]
+    g = kf.GameInstance(kf.topology_from_edges(n, edges), tuple(np.linspace(0.1, 0.9, n).tolist()))
+    return [(g, kf.AllocationProfile.zeros(n))]
+
+
+def single_edge_start(kf, n: int, density: float) -> list:
+    """Half of each budget on the agent's first underlying out-neighbor."""
+    g = kf.generate_random_instance(n, density, True, (0.1, 0.9), 1)
+    w0 = np.zeros((n, n))
+    for i in range(n):
+        w0[i, g.topology.out_neighbors(i)[0]] = 0.5 * g.budgets[i]
+    return [(g, kf.AllocationProfile(w0))]
+
+
+def trace_deviation(a, b) -> float | None:
+    """None unless the traces have the same status, agents, rows and
+    terminal weights, bit for bit; else the largest difference of a record's
+    centralities or residual, relative to max(1, max c) of ``b``'s record."""
+    if a.status != b.status or len(a.steps) != len(b.steps):
+        return None
+    if a.terminal.weights.tobytes() != b.terminal.weights.tobytes():
+        return None
+    worst = 0.0
+    for x, y in zip(a.steps, b.steps):
+        rows = [None if s.row is None else s.row.tobytes() for s in (x, y)]
+        if x.agent != y.agent or rows[0] != rows[1]:
+            return None
+        scale = max(1.0, float(np.max(y.centralities)))
+        off = max(float(np.max(np.abs(x.centralities - y.centralities))), abs(x.residual - y.residual))
+        worst = max(worst, off / scale)
+    return worst
+
+
+def identical(same: bool) -> float | None:
+    return 0.0 if same else None
 
 
 def all_moving_trace(kf, n: int, records: int):
@@ -137,7 +173,8 @@ def skipped_shares(runs: list) -> dict:
 
 def cases(parent, change, work: Path) -> dict:
     """name -> (what, {side: call}, compare): each call returns its outputs,
-    and ``compare(a, b)`` is True when the two sides' outputs agree."""
+    and ``compare(a, b)`` is None when the two sides' outputs disagree, else
+    the largest relative difference of their floats, 0.0 when identical."""
     meta = {"seed": RUN_SEED, "mode": "modified", "w0": "random"}
     brd = {
         "brd-near1-seed1": near1_starts,
@@ -160,7 +197,7 @@ def cases(parent, change, work: Path) -> dict:
         return call
 
     def same_files(a, b):
-        return all(x.read_bytes() == y.read_bytes() for x, y in zip(a, b))
+        return identical(all(x.read_bytes() == y.read_bytes() for x, y in zip(a, b)))
 
     out = {}
     for key, runs in traces.items():
@@ -175,9 +212,9 @@ def cases(parent, change, work: Path) -> dict:
     sizes = {"n200-d0.1": (200, 0.1), "complete-n60": (60, 1.0), "complete-n1000": (1000, 1.0)}
 
     def same_instances(a, b):
-        return a.budgets == b.budgets and all(
+        return identical(a.budgets == b.budgets and all(
             np.array_equal(x, y) for x, y in zip(a.topology.neighbor_index, b.topology.neighbor_index)
-        )
+        ))
 
     for key, (n, density) in sizes.items():
         text = change.serialize_instance(change.generate_random_instance(n, density, True, (0.1, 0.9), 1))
@@ -198,9 +235,14 @@ def cases(parent, change, work: Path) -> dict:
     out["random_profile/brd-near1-seed1"] = (
         "random_profile on the six brd-near1 seed-1 instances, with the CLI's w0 seed for run seed 1500",
         calls,
-        lambda a, b: all(x.tobytes() == y.tobytes() for x, y in zip(a, b)),
+        lambda a, b: identical(all(x.tobytes() == y.tobytes() for x, y in zip(a, b))),
     )
 
+    def same_decisions(a, b):
+        deviations = list(map(trace_deviation, a, b))
+        return None if None in deviations else max(deviations)
+
+    brd |= {"line-n1000": lambda kf: line_start(kf, 1000), "single-edge-n500-d0.05": lambda kf: single_edge_start(kf, 500, 0.05)}
     for key, starts in brd.items():
         inputs = {side: starts(kf) for side, kf in (("parent", parent), ("change", change))}
         calls = {
@@ -210,7 +252,7 @@ def cases(parent, change, work: Path) -> dict:
         out[f"run_brd/{key}"] = (
             f"run_brd, modified round-robin, on {len(inputs['change'])} (game, w0) pair(s)",
             calls,
-            lambda a, b: list(map(trace_bits, a)) == list(map(trace_bits, b)),
+            same_decisions,
         )
     return out
 
@@ -241,7 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     with tempfile.TemporaryDirectory() as tmp:
         for name, (what, calls, compare) in cases(parent, change, Path(tmp)).items():
-            if not compare(calls["parent"](), calls["change"]()):
+            deviation = compare(calls["parent"](), calls["change"]())
+            if deviation is None:
                 raise SystemExit(f"{name}: the parent's and the change's outputs differ")
             times = {"parent": [], "change": []}
             for r in range(args.repeats):
@@ -254,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
             wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
             result["cases"][name] = {
                 "what": what,
-                "identical_outputs": True,
+                "max_relative_float_difference": deviation,
                 "parent": parent_s,
                 "change": change_s,
                 "change_faster_in": f"{wins} of {args.repeats}",

@@ -118,6 +118,27 @@ def random_feasible_profile(g: GameInstance, seed: int) -> AllocationProfile:
     return AllocationProfile(w)
 
 
+def single_edge_profile(g: GameInstance, seed: int) -> AllocationProfile:
+    """Random profile in which every row is single-edge or, one in five,
+    empty: 10-99.9% of B_i on one random underlying out-neighbor."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((g.n, g.n))
+    for i in range(g.n):
+        nbrs = g.topology.out_neighbors(i)
+        if rng.random() < 0.8:
+            w[i, nbrs[int(rng.integers(len(nbrs)))]] = g.budgets[i] * float(rng.uniform(0.1, 0.999))
+    return AllocationProfile(w)
+
+
+def mixed_profile(g: GameInstance, seed: int) -> AllocationProfile:
+    """``single_edge_profile``'s rows, with every other agent's row from
+    ``random_feasible_profile``, which spreads it over several neighbors
+    where the agent has them."""
+    w = np.array(single_edge_profile(g, seed).weights)
+    w[::2] = random_feasible_profile(g, seed).weights[::2]
+    return AllocationProfile(w)
+
+
 def circulant_profile(g: GameInstance, degree: int, seed: int) -> AllocationProfile:
     """Dense non-Nash profile on a complete topology: row i is positive on
     agents i, i+1, ..., i+degree-1 (mod n) and spends 20-95% of B_i."""

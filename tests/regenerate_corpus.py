@@ -11,9 +11,11 @@ schedules x lazy on/off x zero/random start: status, step count, and per
 record the agent, row, residual and every centrality.  ``tests/test_corpus.py``
 reruns the grid and compares in two classes:
 
-- exact: agents, rows, status, step counts and terminal weights;
-- within ``CROSS_CHECK_TOL`` * max(1, max c) of the stored record:
-  centralities and residuals.
+- exact: agents, rows, status, step counts and terminal weights, and the
+  centralities and residuals of runs from zero, which the in-forest route
+  computes without BLAS;
+- within ``CROSS_CHECK_TOL`` * max(1, max c) of the stored record: the
+  centralities and residuals of runs from the random start.
 
 Each file under ``tests/corpus/structure/`` holds, for the game of that name
 with n <= 16, its equilibrium centralities c* with their iteration count

@@ -1,14 +1,22 @@
 import numpy as np
 import pytest
 
-from helpers import CROSS_CHECK_TOL, edge_set, random_feasible_profile, random_game, with_row
+from helpers import (
+    CROSS_CHECK_TOL,
+    complete_instance,
+    edge_set,
+    random_feasible_profile,
+    random_game,
+    single_edge_profile,
+    with_row,
+)
 from katzforge import (
     AllocationProfile,
     FeasibilityError,
     katz_solve,
     walk_decomposition,
 )
-from katzforge.centrality import SOLVE_RESIDUAL_TOL, Resolvent
+from katzforge.centrality import SOLVE_RESIDUAL_TOL, InForest, Resolvent
 from oracles import (
     brute_walk_sums,
     fractional_linear_centrality,
@@ -335,3 +343,76 @@ class TestResolvent:
     def test_infeasible_profile_rejected(self):
         with pytest.raises(FeasibilityError, match="row 1"):
             Resolvent(np.array([[1.0]]))
+
+
+def _assert_decompositions_match_dense_route(holder, g, w):
+    for i in range(g.n):
+        got, want = holder.decomposition(g, i), walk_decomposition(g, w, i)
+        assert (got.agent, got.neighbors, got.budget) == (want.agent, want.neighbors, want.budget)
+        for name in ("p", "q", "d", "f"):
+            a, b = getattr(got, name), getattr(want, name)
+            np.testing.assert_array_equal(np.isnan(a), np.isnan(b))
+            scale = max(1.0, float(np.nanmax(np.abs(b))))
+            assert np.nanmax(np.abs(a - b)) <= CROSS_CHECK_TOL * scale, (i, name)
+
+
+class TestInForest:
+    @pytest.mark.parametrize("budget_hi", [0.85, 0.99, 0.999])
+    def test_tracks_dense_route_under_row_replacements(self, budget_hi):
+        # single-edge rows, self-loops and empty rows; a move closes and
+        # opens cycles through the mover; every other move reads the mover's
+        # decomposition first, as a best-response step does
+        rng = np.random.default_rng(7)
+        for seed in range(6):
+            g = random_game(seed, n_max=25, budget_lo=budget_hi - 0.01, budget_hi=budget_hi)
+            w = single_edge_profile(g, seed + 40)
+            forest = InForest(w.weights, Resolvent(w).centralities)
+            for k in range(50):
+                i = int(rng.integers(g.n))
+                row = single_edge_profile(g, int(rng.integers(2**31))).weights[i]
+                if k % 2:
+                    forest.decomposition(g, i)
+                w = with_row(w, i, row)
+                c, want = forest.replace_row(i, row), katz_solve(w)
+                assert c is forest.centralities
+                assert np.max(np.abs(c - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
+                a = w.weights
+                assert np.max(np.abs(c - a @ c - a @ np.ones(g.n))) <= SOLVE_RESIDUAL_TOL * g.n
+            assert forest.rebuilds == 0
+            _assert_decompositions_match_dense_route(forest, g, w)
+
+    def test_rows_read_back_exactly(self):
+        for seed in range(10):
+            g = random_game(seed, n_max=20, budget_lo=0.5, budget_hi=0.999)
+            w = single_edge_profile(g, seed + 40)
+            forest = InForest(w.weights, Resolvent(w).centralities)
+            np.testing.assert_array_equal(forest.weights(), w.weights)
+            for i in range(g.n):
+                np.testing.assert_array_equal(forest.row(i), w.weights[i])
+
+    def test_multi_edge_rows_rejected(self):
+        with pytest.raises(ValueError, match="more than one positive entry"):
+            InForest(np.array([[0.1, 0.2], [0.0, 0.0]]), np.zeros(2))
+        forest = InForest(np.zeros((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="row 1 has more than one positive entry"):
+            forest.replace_row(0, np.array([0.1, 0.2]))
+
+    def test_drift_is_refined_on_the_in_tree_or_re_evaluated(self):
+        # 1 -> 2 -> 3 (self-loop), 4 (self-loop); agent 3 moves to agent 4.
+        # c off by 1e-9 on agent 3's in-tree {1, 2, 3} breaks the check, and
+        # one refinement on that tree mends it; off by 1e-9 at agent 4, off
+        # the tree, it takes a fresh resolvent, counted in rebuilds
+        g = complete_instance((0.5, 0.6, 0.7, 0.8))
+        w = AllocationProfile(np.array([[0, 0.5, 0, 0], [0, 0, 0.6, 0], [0, 0, 0.7, 0], [0, 0, 0, 0.8]]))
+        row = np.array([0, 0, 0, 0.7])
+        want = katz_solve(with_row(w, 2, row))
+        for drifted, rebuilds in (([0, 1, 2], 0), ([3], 1)):
+            c = Resolvent(w).centralities.copy()
+            c[drifted] += 1e-9
+            forest = InForest(w.weights, c)
+            got = forest.replace_row(2, row)
+            assert forest.rebuilds == rebuilds
+            assert np.max(np.abs(got - want)) <= CROSS_CHECK_TOL * max(want)
+            if rebuilds:
+                np.testing.assert_array_equal(got, Resolvent(with_row(w, 2, row)).centralities)
+            np.testing.assert_array_equal(c[drifted], Resolvent(w).centralities[drifted] + 1e-9)

@@ -10,7 +10,7 @@ import pytest
 import katzforge
 from helpers import circulant_profile, complete_instance
 from katzforge import AllocationProfile, serialize_allocation, serialize_instance
-from katzforge.centrality import Resolvent
+from katzforge.centrality import InForest, Resolvent
 from katzforge.cli import main
 
 I3_DOC = '{"n": 2, "edges": [[1, 1], [1, 2], [2, 1], [2, 2]], "budgets": [0.5, 0.25]}\n'
@@ -146,15 +146,20 @@ class TestRun:
         assert code == 3
 
     def test_failed_centrality_check_exits_1(self, i3_file, tmp_path, capsys, monkeypatch):
-        # every residual check fails, so the first one, on the resolvent
-        # factored from w0, raises
-        monkeypatch.setattr(Resolvent, "_residual", lambda self, c: np.ones_like(c))
-        code = main(["run", str(i3_file), "-o", str(tmp_path / "t.csv")])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: centrality residual 1.0 exceeds bound after a fresh factorization\n"
-        )
-        assert not (tmp_path / "t.csv").exists()
+        # every residual check fails: from zero, the forest's check on the
+        # first move, then the fresh resolvent's; from a w0 with a
+        # multi-edge row, the check on the resolvent factored from it
+        for cls in (InForest, Resolvent):
+            monkeypatch.setattr(cls, "_residual", lambda self, c: np.ones_like(c))
+        w0 = tmp_path / "w0.json"
+        w0.write_text(serialize_allocation(AllocationProfile(np.array([[0.2, 0.2], [0.0, 0.0]]))))
+        for start in ([], ["--w0", f"file:{w0}"]):
+            code = main(["run", str(i3_file), *start, "-o", str(tmp_path / "t.csv")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "error: centrality residual 1.0 exceeds bound after a fresh factorization\n"
+            )
+            assert not (tmp_path / "t.csv").exists()
 
     def test_w0_from_file(self, i3_file, i3_ne_file, tmp_path):
         out = tmp_path / "t.csv"

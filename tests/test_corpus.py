@@ -1,6 +1,7 @@
 """``run_brd``, the structure checks and the CLI against the stored
 conformance corpus (see regenerate_corpus.py): floats within
-``CROSS_CHECK_TOL`` * max(1, max c) of the stored values, everything else
+``CROSS_CHECK_TOL`` * max(1, max c) of the stored values, except the
+centralities and residuals of runs from zero, and everything else
 exactly."""
 
 import numpy as np
@@ -43,6 +44,12 @@ def test_runs_match_corpus(name):
         got, want = run_record(run_case(g, doc, case)), doc["runs"][where]
         for field in ("status", "total_steps", "agents", "rows", "terminal"):
             assert got[field] == want[field], (where, field)
+        if case["w0"] == "zero":
+            # the in-forest route from step 0 calls no BLAS, so its bits do
+            # not depend on the BLAS thread count
+            for field in ("centralities", "residuals"):
+                assert got[field] == want[field], (where, field)
+            continue
         # one bound per step; equal agents mean equal step counts
         want_c = np.array(want["centralities"])
         bound = CROSS_CHECK_TOL * np.maximum(1.0, want_c.max(axis=1))

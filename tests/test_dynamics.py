@@ -9,8 +9,10 @@ from helpers import (
     REPORTED_BUDGETS,
     REPORTED_C_STAR,
     complete_instance,
+    mixed_profile,
     random_feasible_profile,
     random_game,
+    single_edge_profile,
     with_row,
 )
 from katzforge import (
@@ -33,7 +35,7 @@ from katzforge import (
     write_trace_csv,
 )
 import katzforge.dynamics
-from katzforge.centrality import Resolvent
+from katzforge.centrality import InForest, Resolvent
 from oracles import (
     ScheduleReference,
     brd_reference,
@@ -89,6 +91,22 @@ class TestScheduler:
         with pytest.raises(ValueError, match="out of range"):
             run_brd(i3, i3_ne, BrdConfig(scheduler=Scheduler.explicit([5])))
 
+    def test_agents_and_seeds_must_be_integers(self):
+        # int() would truncate 0.9 and 2.99 to agents 0 and 2, and read True as 1
+        for sequence in ([0.9, 2.99], [True, 1], [0, np.float64(1.0)]):
+            with pytest.raises(ValueError, match="scheduled agent must be an integer"):
+                Scheduler.explicit(sequence)
+        with pytest.raises(ValueError, match="scheduled agent must be an integer"):
+            Scheduler(kind="explicit", sequence=(0, 1.5))
+        for seed in (1.5, True, "1"):
+            with pytest.raises(ValueError, match="scheduler seed must be an integer"):
+                Scheduler.uniform_random(seed)
+        explicit = Scheduler.explicit(np.array([2, 0], dtype=np.int32))
+        assert explicit.sequence == (2, 0)
+        assert all(type(i) is int for i in explicit.sequence)
+        a, b = Scheduler.uniform_random(np.int64(5)).start(6), Scheduler.uniform_random(5).start(6)
+        assert [a.pick() for _ in range(20)] == [b.pick() for _ in range(20)]
+
     def test_picks_match_reference(self):
         # n = 1..12 x three kinds x 40 schedules; each pick gets no candidate
         # set, an empty one, a random subset or a reversed list of one
@@ -124,6 +142,14 @@ class TestBrdConfig:
                 BrdConfig(tol=tol)
         with pytest.raises(ValueError):
             BrdConfig(mode="other")
+
+    def test_max_steps_must_be_an_integer(self, i3):
+        # 2.5 used to run 2 steps, and True 1
+        for max_steps in (2.5, True, 1.0, "3"):
+            with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
+                BrdConfig(max_steps=max_steps)
+        cfg = BrdConfig(max_steps=np.int64(1), tol=1e-12)
+        assert run_brd(i3, AllocationProfile.zeros(2), cfg).total_steps == 1
 
 
 class TestRunBrd:
@@ -247,10 +273,15 @@ class TestRunModifiedBrd:
             assert trace.total_steps <= g.n + single_edge_count
 
     def test_move_that_does_not_raise_the_mover_is_an_error(self, i3, monkeypatch):
-        # a resolvent update that hands back the unchanged zero centralities
-        monkeypatch.setattr(Resolvent, "replace_row", lambda self, i, row: np.zeros(2))
-        with pytest.raises(ArithmeticError, match="step 1: centrality of agent 1 did not strictly increase"):
-            run_brd(i3, AllocationProfile.zeros(2), BrdConfig(mode="modified"))
+        # an update that hands back zero centralities, on the forest from
+        # zero and on the resolvent from a start with a multi-edge row
+        # (c_1 = 0.5 there); agent 1 moves first either way
+        multi_edge = AllocationProfile(np.array([[0.2, 0.2], [0.0, 0.0]]))
+        for holder, w0 in ((InForest, AllocationProfile.zeros(2)), (Resolvent, multi_edge)):
+            with monkeypatch.context() as m:
+                m.setattr(holder, "replace_row", lambda self, i, row: np.zeros(2))
+                with pytest.raises(ArithmeticError, match="step 1: centrality of agent 1 did not strictly increase"):
+                    run_brd(i3, w0, BrdConfig(mode="modified"))
 
     def test_respects_explicit_max_steps(self, i3):
         cfg = BrdConfig(mode="modified", max_steps=1, tol=1e-12)
@@ -261,9 +292,9 @@ class TestRunModifiedBrd:
 
 def _assert_same_trace(got, want):
     """Agents, rows, status, step count and terminal weights bit for bit;
-    centralities and residuals, which run_brd takes from the resolvent and
-    the reference from dense solves, within ``CROSS_CHECK_TOL`` relative to
-    max(1, max c)."""
+    centralities and residuals, which run_brd takes from its resolvent or
+    in-forest and the reference from dense solves, within ``CROSS_CHECK_TOL``
+    relative to max(1, max c)."""
     assert got.status == want.status
     assert got.total_steps == want.total_steps
     assert len(got.steps) == len(want.steps)
@@ -279,7 +310,9 @@ def _assert_same_trace(got, want):
 
 
 def _assert_grid_matches_reference(games, mode, scheduler, step_limits):
-    # zero or random start x lazy on/off x each step limit
+    # zero, random, single-edge or mixed start x lazy on/off x each step limit:
+    # the forest from the start, the resolvent handing over to the forest,
+    # or the resolvent throughout
     for seed, g in games:
         if scheduler == "rr":
             sched = Scheduler.round_robin()
@@ -288,7 +321,13 @@ def _assert_grid_matches_reference(games, mode, scheduler, step_limits):
         else:
             rng = np.random.default_rng(seed)
             sched = Scheduler.explicit(rng.integers(g.n, size=4 * g.n).tolist())
-        for w0 in (AllocationProfile.zeros(g.n), random_feasible_profile(g, seed + 21)):
+        starts = (
+            AllocationProfile.zeros(g.n),
+            random_feasible_profile(g, seed + 21),
+            single_edge_profile(g, seed + 22),
+            mixed_profile(g, seed + 23),
+        )
+        for w0 in starts:
             for lazy in (True, False):
                 for max_steps in step_limits:
                     cfg = BrdConfig(scheduler=sched, max_steps=max_steps, lazy=lazy, mode=mode)
@@ -367,12 +406,13 @@ class TestSolveCount:
     @pytest.mark.parametrize("mode", ["standard", "modified"])
     @pytest.mark.parametrize("lazy", [True, False])
     def test_one_solve_per_run(self, solves, mode, lazy):
-        # the resolvent build at step 0; the steps take c from its updates,
-        # whose checks all pass here, and solve nothing
+        # the resolvent build at step 0; the steps take c from its updates
+        # and then from the forest's, whose checks all pass here, and solve
+        # nothing
         tol = 1e-10
         for seed in range(10):
             g = random_game(seed, n_max=20, budget_hi=0.99)
-            w0 = random_feasible_profile(g, seed + 21)
+            w0 = mixed_profile(g, seed + 21)
             solves.clear()
             trace = run_brd(g, w0, BrdConfig(mode=mode, lazy=lazy, tol=tol))
             responses = 0
@@ -383,6 +423,20 @@ class TestSolveCount:
                 ) - c[step.agent]
                 responses += not (lazy and gap <= tol)
             assert responses > 0
+            assert solves == [g.n]
+
+    @pytest.mark.parametrize("mode", ["standard", "modified"])
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_no_solve_from_zero_and_one_from_a_single_edge_start(self, solves, mode, lazy):
+        # the forest holds every such run; only a nonzero start needs a
+        # solve, for step 0's c
+        cfg = BrdConfig(mode=mode, lazy=lazy, tol=1e-10)
+        for seed in range(10):
+            g = random_game(seed, n_max=20, budget_hi=0.99)
+            solves.clear()
+            assert run_brd(g, AllocationProfile.zeros(g.n), cfg).total_steps > 0
+            assert solves == []
+            run_brd(g, single_edge_profile(g, seed + 22), cfg)
             assert solves == [g.n]
 
     def test_nash_start_solves_once(self, solves, i3, i3_ne):
@@ -481,6 +535,106 @@ class TestResidualFallback:
         with pytest.raises(ArithmeticError, match="exceeds bound after a fresh factorization"):
             run_brd(g, random_feasible_profile(g, 23), BrdConfig(mode="modified"))
         assert len(armed) == 1
+
+    def test_failed_forest_check_is_re_evaluated(self, monkeypatch):
+        # every in-tree update starts from c off by 1e-9, which no refinement
+        # on the tree may mend here: each move must take c from a fresh
+        # resolvent, count it, and record that resolvent's certified c
+        forests = []
+        init, replace_row = InForest.__init__, InForest.replace_row
+
+        def recording(self, a, c):
+            init(self, a, c)
+            forests.append(self)
+
+        def perturbed(self, i, row):
+            self.centralities = self.centralities + 1e-9
+            return replace_row(self, i, row)
+
+        monkeypatch.setattr(InForest, "__init__", recording)
+        monkeypatch.setattr(InForest, "replace_row", perturbed)
+        monkeypatch.setattr(InForest, "_tree_solve", lambda self, i, r: np.zeros_like(r))
+        for seed in range(10):
+            g = random_game(seed, n_max=15)
+            forests.clear()
+            w = AllocationProfile.zeros(g.n)
+            trace = run_brd(g, w, BrdConfig(mode="modified"))
+            assert trace.converged
+            [forest] = forests
+            assert forest.rebuilds == trace.total_steps > 0
+            for step in trace.steps[1:]:
+                w = with_row(w, step.agent, step.row)
+                np.testing.assert_array_equal(step.centralities, Resolvent(w).centralities)
+                assert step.residual == float(np.max(np.abs(improvement_gaps(g, step.centralities))))
+
+    def test_failed_check_after_re_evaluation_raises(self, monkeypatch):
+        # from the first move on the forest, every residual is 1: the forest's
+        # check fails, so does its refinement's, and the fresh resolvent's
+        # check raises
+        armed = []
+        replace_row = InForest.replace_row
+        residuals = {cls: cls._residual for cls in (InForest, Resolvent)}
+
+        def arming(self, i, row):
+            armed.append(i)
+            return replace_row(self, i, row)
+
+        monkeypatch.setattr(InForest, "replace_row", arming)
+        for cls, residual in residuals.items():
+            monkeypatch.setattr(
+                cls, "_residual", lambda self, c, f=residual: np.ones_like(c) if armed else f(self, c)
+            )
+        g = random_game(2)
+        for w0 in (AllocationProfile.zeros(g.n), single_edge_profile(g, 24)):
+            armed.clear()
+            with pytest.raises(ArithmeticError, match="residual 1.0 exceeds bound after a fresh factorization"):
+                run_brd(g, w0, BrdConfig(mode="modified"))
+            assert len(armed) == 1
+
+    def test_near_one_drift_is_refined_on_the_in_tree(self, monkeypatch):
+        # near budgets of 1 the in-tree update's rounding alone breaks the
+        # bound once on this run, which calls no BLAS; one refinement on the
+        # tree mends it, with no fresh factorization
+        refined, forests = [], []
+        init, tree_solve = InForest.__init__, InForest._tree_solve
+
+        def recording(self, a, c):
+            init(self, a, c)
+            forests.append(self)
+
+        monkeypatch.setattr(InForest, "__init__", recording)
+        monkeypatch.setattr(InForest, "_tree_solve", lambda self, i, r: refined.append(i) or tree_solve(self, i, r))
+        g = generate_random_instance(40, 0.3, True, (0.999995 - 1e-6, 0.999995), 11)
+        trace = run_brd(g, AllocationProfile.zeros(g.n), BrdConfig(mode="modified"))
+        assert trace.converged
+        assert len(refined) == 1
+        assert forests[0].rebuilds == 0
+
+
+class TestHandover:
+    def test_forest_takes_over_when_the_last_multi_edge_row_goes(self, monkeypatch):
+        # every move goes into the resolvent up to the one that replaces the
+        # last multi-edge row of w0, and into the forest after it
+        moves = []
+        for cls in (InForest, Resolvent):
+            monkeypatch.setattr(
+                cls, "replace_row", lambda self, i, row, f=cls.replace_row, cls=cls: moves.append(cls) or f(self, i, row)
+            )
+        switched = 0
+        for seed in range(20):
+            g = random_game(seed, n_max=15)
+            for w0 in (mixed_profile(g, seed + 23), random_feasible_profile(g, seed + 21), AllocationProfile.zeros(g.n)):
+                multi_edge = set(np.flatnonzero(np.count_nonzero(w0.weights, axis=1) > 1).tolist())
+                moves.clear()
+                trace = run_brd(g, w0, BrdConfig(mode="modified"))
+                agents = [s.agent for s in trace.steps[1:]]
+                if multi_edge and multi_edge <= set(agents):
+                    last = max(agents.index(i) for i in multi_edge)
+                    switched += last + 1 < len(agents)
+                else:
+                    last = len(agents) - 1 if multi_edge else -1
+                assert moves == [Resolvent] * (last + 1) + [InForest] * (len(agents) - last - 1)
+        assert switched > 0
 
 
 class TestWeightMatrix:
