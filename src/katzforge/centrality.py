@@ -59,11 +59,17 @@ def _require_substochastic(a: np.ndarray) -> None:
         )
 
 
+def _within_bound(r: np.ndarray) -> bool:
+    """Whether the residual ``r`` of an n-row system is within
+    ``SOLVE_RESIDUAL_TOL * n``."""
+    return np.max(np.abs(r)) <= SOLVE_RESIDUAL_TOL * len(r)  # NaN fails too
+
+
 def _solve_checked(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = np.linalg.solve(m, b)
-    residual = np.max(np.abs(m @ x - b))
-    if not residual <= SOLVE_RESIDUAL_TOL * m.shape[0]:  # NaN fails too
-        raise ArithmeticError(f"linear solve residual {residual} exceeds bound")
+    r = m @ x - b
+    if not _within_bound(r):
+        raise ArithmeticError(f"linear solve residual {np.max(np.abs(r))} exceeds bound")
     return x
 
 
@@ -228,12 +234,12 @@ class Resolvent:
         factored (raise) or may have drifted (refactor and check again)."""
         c = self._m.sum(axis=1) - 1.0
         c -= self._m @ self._residual(c)
-        residual = np.max(np.abs(self._residual(c)))
-        if residual <= SOLVE_RESIDUAL_TOL * len(c):  # NaN fails too
+        r = self._residual(c)
+        if _within_bound(r):
             return c
         if fresh:
             raise ArithmeticError(
-                f"centrality residual {residual} exceeds bound after a fresh factorization"
+                f"centrality residual {np.max(np.abs(r))} exceeds bound after a fresh factorization"
             )
         self.rebuilds += 1
         self._factor()
@@ -267,10 +273,6 @@ class Resolvent:
             self._factor()
         self.centralities = self._certified(fresh=not denom > 0)
         return self.centralities
-
-
-def _within_bound(r: np.ndarray) -> bool:
-    return np.max(np.abs(r)) <= SOLVE_RESIDUAL_TOL * len(r)  # NaN fails too
 
 
 class InForest:
@@ -314,21 +316,24 @@ class InForest:
             self._preds[s].add(u)
         self.centralities = c
         self.rebuilds = 0
-        self._tree = None  # the last walk's (i, q, tree agents, their q), until a row changes
+        self._walk = None  # (i, its in-tree), kept by decomposition for one _in_tree call
 
     def _in_tree(self, i: int) -> tuple:
-        if self._tree is None or self._tree[0] != i:
-            succ, w = self._succ, self._w
-            nodes = [i]
-            for v in nodes:  # breadth first, so that a successor's q comes first
-                nodes.extend(u for u in self._preds[v] if u != i)
-            q = np.zeros(len(succ))
-            q[i] = 1.0
-            for u in nodes[1:]:
-                q[u] = w[u] * q[succ[u]]
-            nodes = np.array(nodes)
-            self._tree = (i, q, nodes, q[nodes])
-        return self._tree
+        """q, i's in-tree breadth first from i, and the tree's q.  The walk
+        ``decomposition`` kept is taken once: rows change only after it."""
+        walk, self._walk = self._walk, None
+        if walk is not None and walk[0] == i:
+            return walk[1]
+        succ, w = self._succ, self._w
+        nodes = [i]
+        for v in nodes:  # breadth first, so that a successor's q comes first
+            nodes.extend(u for u in self._preds[v] if u != i)
+        q = np.zeros(len(succ))
+        q[i] = 1.0
+        for u in nodes[1:]:
+            q[u] = w[u] * q[succ[u]]
+        nodes = np.array(nodes)
+        return q, nodes, q[nodes]
 
     def _residual(self, c: np.ndarray) -> np.ndarray:
         """(I - A) c - A 1 as ``Resolvent`` computes it, gathered in O(n)."""
@@ -355,7 +360,9 @@ class InForest:
     def decomposition(self, g: GameInstance, i: int) -> WalkDecomposition:
         """The walk decomposition of focal agent ``i``, in O(n) plus a walk
         of its in-tree."""
-        return _decomposition(g, i, self._in_tree(i)[1].copy(), self.centralities)
+        tree = self._in_tree(i)
+        self._walk = (i, tree)  # for the replace_row that usually follows
+        return _decomposition(g, i, tree[0].copy(), self.centralities)
 
     def replace_row(self, i: int, row: np.ndarray) -> np.ndarray:
         """Set row ``i`` of A to ``row``, which has at most one positive
@@ -364,7 +371,7 @@ class InForest:
         targets = np.flatnonzero(row)
         if len(targets) > 1:
             raise ValueError(f"row {i + 1} has more than one positive entry")
-        _, q, nodes, q_nodes = self._in_tree(i)
+        q, nodes, q_nodes = tree = self._in_tree(i)
         c = self.centralities
         j, w, c_i = -1, 0.0, 0.0
         if len(targets):
@@ -384,18 +391,19 @@ class InForest:
         r = self._residual(c)
         if not _within_bound(r):
             # i's in-tree, and its q, are the same after i's own move
-            c -= self._tree_solve(i, r)
+            c -= self._tree_solve(i, r, *tree)
             if not _within_bound(self._residual(c)):
                 self.rebuilds += 1
                 c = Resolvent(self.weights()).centralities
-        self._tree = None
         self.centralities = c
         return c
 
-    def _tree_solve(self, i: int, r: np.ndarray) -> np.ndarray:
-        """x with (I - A) x = r on i's in-tree and x = 0 off it, for the
-        current row of i: x_u = r_u + w_u x_succ(u), closed by i's row."""
-        _, q, nodes, q_nodes = self._in_tree(i)
+    def _tree_solve(
+        self, i: int, r: np.ndarray, q: np.ndarray, nodes: np.ndarray, q_nodes: np.ndarray
+    ) -> np.ndarray:
+        """x with (I - A) x = r on i's in-tree (``nodes``, with ``q``) and
+        x = 0 off it, for the current row of i: x_u = r_u + w_u x_succ(u),
+        closed by i's row."""
         succ, w = self._succ, self._w
         t = np.zeros(len(succ))  # the same sums with x_i = r_i
         t[i] = r[i]

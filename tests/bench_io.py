@@ -29,7 +29,8 @@ skip.  Every pair of outputs must be identical: the same file bytes, the same
 instance, the same weights; two ``run_brd`` traces must have the same
 status, agents, rows and terminal weights, bit for bit, and the largest
 difference of a record's centralities or residual, relative to
-max(1, max c), is reported.  The outputs are compared in an untimed first
+max(1, max c), must be within ``CROSS_CHECK_TOL`` (NaN fails) and is
+reported.  The outputs are compared in an untimed first
 call of each side.  One sample is one wall-clock call over all
 the inputs of its case, with no output of another sample still alive.
 BLAS runs on one thread.  Prints one JSON document (or writes it to
@@ -63,6 +64,8 @@ import numpy as np
 # gen seed 1000 + k and run seed 1500 at workload seed 1, self-loops on
 BRD_NEAR1 = [(200, 0.1, (0.1, 0.9))] * 3 + [(60, 1.0, (0.99, 0.99)), (60, 0.5, (0.999, 0.999)), (60, 0.5, (0.998, 0.999))]
 RUN_SEED = 1500
+# the agreement bound between computation routes, as in tests/helpers.py
+CROSS_CHECK_TOL = 1e-10
 
 
 def load(src: Path, name: str):
@@ -131,15 +134,14 @@ def trace_deviation(a, b) -> float | None:
         return None
     if a.terminal.weights.tobytes() != b.terminal.weights.tobytes():
         return None
-    worst = 0.0
+    offs = [0.0]
     for x, y in zip(a.steps, b.steps):
         rows = [None if s.row is None else s.row.tobytes() for s in (x, y)]
         if x.agent != y.agent or rows[0] != rows[1]:
             return None
         scale = max(1.0, float(np.max(y.centralities)))
-        off = max(float(np.max(np.abs(x.centralities - y.centralities))), abs(x.residual - y.residual))
-        worst = max(worst, off / scale)
-    return worst
+        offs.append(np.max(np.abs(np.append(x.centralities - y.centralities, x.residual - y.residual))) / scale)
+    return float(np.max(offs))  # NaN if any difference is NaN
 
 
 def identical(same: bool) -> float | None:
@@ -174,7 +176,9 @@ def skipped_shares(runs: list) -> dict:
 def cases(parent, change, work: Path) -> dict:
     """name -> (what, {side: call}, compare): each call returns its outputs,
     and ``compare(a, b)`` is None when the two sides' outputs disagree, else
-    the largest relative difference of their floats, 0.0 when identical."""
+    the largest relative difference of their floats, 0.0 when identical.
+    ``run_brd`` outputs disagree also when that difference is above
+    ``CROSS_CHECK_TOL`` or NaN."""
     meta = {"seed": RUN_SEED, "mode": "modified", "w0": "random"}
     brd = {
         "brd-near1-seed1": near1_starts,
@@ -240,7 +244,10 @@ def cases(parent, change, work: Path) -> dict:
 
     def same_decisions(a, b):
         deviations = list(map(trace_deviation, a, b))
-        return None if None in deviations else max(deviations)
+        if None in deviations:
+            return None
+        worst = float(np.max(deviations))
+        return worst if worst <= CROSS_CHECK_TOL else None  # NaN fails too
 
     brd |= {"line-n1000": lambda kf: line_start(kf, 1000), "single-edge-n500-d0.05": lambda kf: single_edge_start(kf, 500, 0.05)}
     for key, starts in brd.items():
@@ -285,7 +292,10 @@ def main(argv: list[str] | None = None) -> int:
         for name, (what, calls, compare) in cases(parent, change, Path(tmp)).items():
             deviation = compare(calls["parent"](), calls["change"]())
             if deviation is None:
-                raise SystemExit(f"{name}: the parent's and the change's outputs differ")
+                raise SystemExit(
+                    f"{name}: the parent's and the change's outputs differ "
+                    f"(for run_brd: a decision, or a float by more than {CROSS_CHECK_TOL} or NaN)"
+                )
             times = {"parent": [], "change": []}
             for r in range(args.repeats):
                 for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):

@@ -553,7 +553,7 @@ class TestResidualFallback:
 
         monkeypatch.setattr(InForest, "__init__", recording)
         monkeypatch.setattr(InForest, "replace_row", perturbed)
-        monkeypatch.setattr(InForest, "_tree_solve", lambda self, i, r: np.zeros_like(r))
+        monkeypatch.setattr(InForest, "_tree_solve", lambda self, i, r, *tree: np.zeros_like(r))
         for seed in range(10):
             g = random_game(seed, n_max=15)
             forests.clear()
@@ -603,7 +603,7 @@ class TestResidualFallback:
             forests.append(self)
 
         monkeypatch.setattr(InForest, "__init__", recording)
-        monkeypatch.setattr(InForest, "_tree_solve", lambda self, i, r: refined.append(i) or tree_solve(self, i, r))
+        monkeypatch.setattr(InForest, "_tree_solve", lambda self, i, r, *tree: refined.append(i) or tree_solve(self, i, r, *tree))
         g = generate_random_instance(40, 0.3, True, (0.999995 - 1e-6, 0.999995), 11)
         trace = run_brd(g, AllocationProfile.zeros(g.n), BrdConfig(mode="modified"))
         assert trace.converged
