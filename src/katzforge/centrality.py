@@ -19,8 +19,8 @@ off it in O(n):
 - ``InForest`` holds a profile in which every row has at most one positive
   entry, a functional graph, with no n x n matrix.  q lives on agent i's
   in-tree, and a row change updates c on the mover's in-tree alone; each
-  update passes the same residual check, in O(n), after at most one step
-  of refinement on that tree, or c is taken from a fresh ``Resolvent``.
+  update passes the same residual check, in O(n), or the O(n) kernel
+  ``_single_edge_centralities`` evaluates c again.
 
 Best-response dynamics keep their profile in one of them and take every
 record's targets and centralities from it.
@@ -186,6 +186,49 @@ def _residual(c: np.ndarray, hi, lo, a_1: np.ndarray) -> np.ndarray:
     return (c - hi(c_hi)) - small
 
 
+def _forest_residual(succ: np.ndarray, w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(I - A) c - A 1 as ``Resolvent`` computes it, gathered in O(n), for
+    weight ``w[u]`` on successor ``succ[u]`` (-1 and 0: an empty row)."""
+    w_hi = _on_grid(w, 0)
+    return _residual(c, lambda x: w_hi * x[succ], lambda x: (w - w_hi) * x[succ], w)
+
+
+def _single_edge_centralities(succ: list[int], w: list[float]) -> np.ndarray:
+    """Certified Katz centralities of the profile with weight ``w[u]`` on the
+    successor ``succ[u]`` of each agent u (-1 and 0: an empty row), in O(n)
+    Python arithmetic, on a line too: c_{i_1} = (sum_k prod_{m <= k} w_{i_m})
+    / (1 - prod_m w_{i_m}) on each cycle i_1 -> ... -> i_L -> i_1, and
+    c_u = w_u (1 + c_succ(u)) back from there or from an empty row, where
+    c = 0.  ArithmeticError unless c passes ``_forest_residual``'s check."""
+    n = len(succ)
+    c = [0.0] * (n + 1)  # c[-1] = 0 past an empty row
+    place = [-1] * n + [n]  # -1 unseen, n done or past an empty row, else the place on the path
+    for start in range(n):
+        path, u = [], start
+        while place[u] < 0:
+            place[u] = len(path)
+            path.append(u)
+            u = succ[u]
+        k = place[u]  # below n: the path closed the cycle at u = i_1
+        for v in path:
+            place[v] = n
+        if k < n:
+            total, prod = 0.0, 1.0
+            for v in path[k:]:
+                prod *= w[v]
+                total += prod
+            c[u] = total / (1.0 - prod)
+        for part in (path[k + 1:], path[:k]):  # the cycle past i_1, and the path up to u
+            x = c[u]
+            for v in reversed(part):
+                x = c[v] = w[v] * (1.0 + x)
+    c = np.array(c[:n])
+    r = _forest_residual(np.array(succ, dtype=np.intp), np.array(w, dtype=float), c)
+    if not _within_bound(r):
+        raise ArithmeticError(f"centrality residual {np.max(np.abs(r))} exceeds bound after a fresh evaluation")
+    return c
+
+
 class Resolvent:
     """A profile A that changes one row at a time, with M = (I - A)^-1.
 
@@ -276,33 +319,23 @@ class Resolvent:
 
 
 class InForest:
-    """A profile in which every row has at most one positive entry: a
-    successor and a weight per row (successor -1 for an empty row), each
-    agent's set of predecessors, and the certified centralities c.
+    """A profile in which every row has at most one positive entry, a
+    functional graph: a successor and a weight per row (successor -1 for an
+    empty row), each agent's set of predecessors, and the certified c.
 
-    Such a profile is a functional graph.  The walks that reach agent i run
-    through i's in-tree, the agents whose path of successors reaches i
-    before it leaves i again: q_u is the product of the weights on u's path
-    to i, q_i = 1, and q = 0 off the tree.  ``decomposition`` walks the tree
-    through the predecessor sets, in time proportional to its size, and
-    scores with c as ``Resolvent`` does.  ``replace_row`` moves i to a new
-    successor j with weight w: by Sherman-Morrison read on the forest, i's
-    centrality becomes c_i' = w d_j / (1 - q_j w), and each c_u on the tree
-    moves by q_u (c_i' - c_i).  Every update is certified in O(n): the
-    residual c_u - w_u (1 + c_succ(u)), or c_u on an empty row, with the
-    products split as ``Resolvent`` splits them, must be within
-    ``SOLVE_RESIDUAL_TOL * n``.  Near budgets of 1 the rounding of q_u times
-    a large c_i' - c_i alone can break that bound, so a failed check first
-    refines c once on the in-tree, as ``Resolvent`` refines with M: it
-    subtracts the x with (I - A) x = r there, by back substitution.  If the
-    check fails again, c is taken from a fresh ``Resolvent`` of the profile,
-    counted in ``rebuilds``; that build raises ArithmeticError if its own
-    check fails.
-    """
+    The walks that reach agent i run through i's in-tree, the agents whose
+    path of successors reaches i before it leaves i again: q_u is the
+    product of the weights on u's path to i, q_i = 1, and q = 0 off the
+    tree.  ``decomposition`` walks the tree through the predecessor sets.
+    ``replace_row`` moves i to a new successor j with weight w: by
+    Sherman-Morrison read on the forest, c_i' = w d_j / (1 - q_j w), and
+    each c_u on the tree moves by q_u (c_i' - c_i).  A c that fails the
+    check of ``_forest_residual`` (near budgets of 1 the rounding of q_u
+    times a large c_i' - c_i alone can) is evaluated again by
+    ``_single_edge_centralities``, counted in ``rebuilds``."""
 
-    def __init__(self, a: np.ndarray, c: np.ndarray):
-        """The profile ``a``, as an n x n array, and its certified
-        centralities ``c``, which are kept and never written."""
+    def __init__(self, a: np.ndarray):
+        """The profile ``a``, as an n x n array; c is evaluated from it."""
         rows, cols = np.nonzero(a)  # rows ascend
         if np.any(rows[1:] == rows[:-1]):
             raise ValueError("a row of the profile has more than one positive entry")
@@ -314,12 +347,12 @@ class InForest:
         self._preds = [set() for _ in range(n)]
         for u, s in zip(rows.tolist(), cols.tolist()):
             self._preds[s].add(u)
-        self.centralities = c
+        self.centralities = _single_edge_centralities(self._succ.tolist(), self._w.tolist())
         self.rebuilds = 0
         self._walk = None  # (i, its in-tree), kept by decomposition for one _in_tree call
 
     def _in_tree(self, i: int) -> tuple:
-        """q, i's in-tree breadth first from i, and the tree's q.  The walk
+        """q, and i's in-tree breadth first from i.  The walk
         ``decomposition`` kept is taken once: rows change only after it."""
         walk, self._walk = self._walk, None
         if walk is not None and walk[0] == i:
@@ -332,29 +365,19 @@ class InForest:
         q[i] = 1.0
         for u in nodes[1:]:
             q[u] = w[u] * q[succ[u]]
-        nodes = np.array(nodes)
-        return q, nodes, q[nodes]
-
-    def _residual(self, c: np.ndarray) -> np.ndarray:
-        """(I - A) c - A 1 as ``Resolvent`` computes it, gathered in O(n)."""
-        succ, w = self._succ, self._w
-        w_hi = _on_grid(w, 0)
-        w_lo = w - w_hi
-        return _residual(c, lambda x: w_hi * x[succ], lambda x: w_lo * x[succ], w)
+        return q, np.array(nodes)
 
     def row(self, i: int) -> np.ndarray:
         """A new array holding row ``i`` of A."""
         row = np.zeros(len(self._succ))
-        if self._succ[i] >= 0:
-            row[self._succ[i]] = self._w[i]
+        row[self._succ[i]] = self._w[i]  # an empty row's 0 lands at -1
         return row
 
     def weights(self) -> np.ndarray:
         """A new n x n array holding A."""
         n = len(self._succ)
         a = np.zeros((n, n))
-        rows = np.flatnonzero(self._succ >= 0)
-        a[rows, self._succ[rows]] = self._w[rows]
+        a[np.arange(n), self._succ] = self._w  # an empty row's 0 lands at column -1
         return a
 
     def decomposition(self, g: GameInstance, i: int) -> WalkDecomposition:
@@ -367,12 +390,12 @@ class InForest:
     def replace_row(self, i: int, row: np.ndarray) -> np.ndarray:
         """Set row ``i`` of A to ``row``, which has at most one positive
         entry, and return the new ``centralities``, in O(n) plus a walk of
-        i's in-tree unless the check fails."""
+        i's in-tree."""
         targets = np.flatnonzero(row)
         if len(targets) > 1:
             raise ValueError(f"row {i + 1} has more than one positive entry")
-        q, nodes, q_nodes = tree = self._in_tree(i)
-        c = self.centralities
+        q, nodes = self._in_tree(i)
+        c = self.centralities.copy()
         j, w, c_i = -1, 0.0, 0.0
         if len(targets):
             j = int(targets[0])
@@ -380,37 +403,15 @@ class InForest:
             # d_j and q_j as _decomposition computes them
             d_j = 1.0 if j == i else c[j] - q[j] * (1.0 + c[i]) + q[j] + 1.0
             c_i = d_j * w / (1.0 - q[j] * w)
-        c = c.copy()
-        c[nodes] += q_nodes * (c_i - c[i])
+        c[nodes] += q[nodes] * (c_i - c[i])
         c[i] = c_i
         if self._succ[i] >= 0:
             self._preds[self._succ[i]].discard(i)
         if j >= 0:
             self._preds[j].add(i)
         self._succ[i], self._w[i] = j, w
-        r = self._residual(c)
-        if not _within_bound(r):
-            # i's in-tree, and its q, are the same after i's own move
-            c -= self._tree_solve(i, r, *tree)
-            if not _within_bound(self._residual(c)):
-                self.rebuilds += 1
-                c = Resolvent(self.weights()).centralities
+        if not _within_bound(_forest_residual(self._succ, self._w, c)):
+            self.rebuilds += 1
+            c = _single_edge_centralities(self._succ.tolist(), self._w.tolist())
         self.centralities = c
         return c
-
-    def _tree_solve(
-        self, i: int, r: np.ndarray, q: np.ndarray, nodes: np.ndarray, q_nodes: np.ndarray
-    ) -> np.ndarray:
-        """x with (I - A) x = r on i's in-tree (``nodes``, with ``q``) and
-        x = 0 off it, for the current row of i: x_u = r_u + w_u x_succ(u),
-        closed by i's row."""
-        succ, w = self._succ, self._w
-        t = np.zeros(len(succ))  # the same sums with x_i = r_i
-        t[i] = r[i]
-        for u in nodes[1:].tolist():
-            t[u] = r[u] + w[u] * t[succ[u]]
-        j = succ[i]
-        x_i = r[i] if j < 0 else r[i] + w[i] * t[j] / (1.0 - w[i] * q[j])
-        x = np.zeros(len(succ))
-        x[nodes] = t[nodes] + q_nodes * (x_i - r[i])
-        return x

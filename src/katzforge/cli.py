@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -249,6 +248,7 @@ def run(
             seed_list = list(_parse_seeds(seeds_spec))
             paths = [base.with_name(f"{base.stem}-seed{s}{base.suffix}") for s in seed_list]
             if jobs > 1:
+                from concurrent.futures import ThreadPoolExecutor  # not imported by default commands
                 with ThreadPoolExecutor(max_workers=jobs) as pool:
                     statuses = list(pool.map(one_run, seed_list, paths))
             else:

@@ -15,11 +15,11 @@ Each move writes a single-edge row, so after an agent's first move its row
 is single-edge.  While w0 still has a row with several positive entries,
 the profile lives in a ``Resolvent``: one dense solve, then an O(n^2)
 rank-one update per move.  When a move replaces the last such row, or from
-the start if there is none, it lives in an ``InForest``: a step walks the
-mover's in-tree and updates c on it, with no n x n matrix.  From zero the
-run makes no solve at all; from a nonzero single-edge w0 it makes one, for
-step 0's c.  Every recorded c is certified by a residual check; a failed
-check is mended by refinement or, failing that, a fresh factorization.
+the start if there is none, it lives in an ``InForest``: c is evaluated on
+the functional graph in O(n), and a step walks the mover's in-tree and
+updates c on it, with no n x n matrix and no solve.  Every recorded c is
+certified by a residual check; a failed check is mended by a fresh
+evaluation or factorization.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .centrality import InForest, Resolvent
 from .game import DEFAULT_TOL, best_response, improvement_gaps, require_tol
-from .instance import AllocationProfile, GameInstance, _is_index_type, _philox, require_feasible
+from .instance import AllocationProfile, GameInstance, _is_index_type, _philox, _require_seed, require_feasible
 
 # Default step limit for standard BRD, per agent (convergence is asymptotic).
 STEP_LIMIT_FACTOR = 500
@@ -57,17 +57,20 @@ class Scheduler:
     def __post_init__(self):
         if self.kind not in (ROUND_ROBIN, UNIFORM_RANDOM, EXPLICIT):
             raise ValueError(f"unknown scheduler kind {self.kind!r}")
-        if self.kind == UNIFORM_RANDOM and self.seed is None:
-            raise ValueError("uniform-random scheduler requires a seed")
-        if self.kind == UNIFORM_RANDOM and not _is_index_type(type(self.seed)):
-            raise ValueError(f"scheduler seed must be an integer, got {self.seed!r}")
-        if self.kind == EXPLICIT and not self.sequence:
-            raise ValueError("explicit scheduler requires a nonempty sequence")
+        if self.kind == UNIFORM_RANDOM:
+            if self.seed is None:
+                raise ValueError("uniform-random scheduler requires a seed")
+            if not _is_index_type(type(self.seed)):
+                raise ValueError(f"scheduler seed must be an integer, got {self.seed!r}")
+            _require_seed(self.seed)
         if self.kind == EXPLICIT:
-            for i in self.sequence:
+            sequence = () if self.sequence is None else tuple(self.sequence)  # an array has no truth value
+            if not sequence:
+                raise ValueError("explicit scheduler requires a nonempty sequence")
+            for i in sequence:
                 if not _is_index_type(type(i)):
                     raise ValueError(f"scheduled agent must be an integer, got {i!r}")
-            object.__setattr__(self, "sequence", tuple(map(int, self.sequence)))
+            object.__setattr__(self, "sequence", tuple(map(int, sequence)))
 
     @classmethod
     def round_robin(cls) -> Scheduler:
@@ -183,13 +186,9 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
     the mover's centrality (else ArithmeticError), so the run converges, with
     no gap above ``cfg.tol``, in finitely many steps; it has no default limit.
 
-    The profile lives in a ``Resolvent`` while w0 has a row with several
-    positive entries, and in an ``InForest`` from the move that replaces
-    the last one, or from the start if w0 has none.  A run makes one dense
-    solve, none from zero, plus one for each check that refinement cannot
-    mend.  Every
-    record's centralities, step 0's included, pass a residual check;
-    ArithmeticError if they cannot.
+    The profile is held as the module docstring says: a run solves only
+    while w0 has a multi-edge row.  Every record's centralities, step 0's
+    included, pass a residual check; ArithmeticError if they cannot.
     """
     cfg = cfg or BrdConfig()
     require_feasible(g, w0)
@@ -200,10 +199,7 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
 
     # the rows with several positive entries; a move writes a single-edge row
     multi_edge = set(np.flatnonzero(np.count_nonzero(w0.weights, axis=1) > 1).tolist())
-    if multi_edge:
-        profile = Resolvent(w0)  # the run's profile: every move goes in by replace_row
-    else:  # c = 0 is exact for the zero profile
-        profile = InForest(w0.weights, Resolvent(w0).centralities if w0.weights.any() else np.zeros(g.n))
+    profile = Resolvent(w0) if multi_edge else InForest(w0.weights)  # every move goes in by replace_row
     c = profile.centralities
     gaps = improvement_gaps(g, c)
     residual = float(np.max(np.abs(gaps)))
@@ -236,7 +232,8 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
             if i in multi_edge:
                 multi_edge.discard(i)
                 if not multi_edge:  # the last multi-edge row is gone, and M with it
-                    profile = InForest(profile.weights(), c)
+                    profile = InForest(profile.weights())
+                    c = profile.centralities
             gaps = improvement_gaps(g, c)
             residual = float(np.max(np.abs(gaps)))
         steps.append(_record(k, i, row, c, residual))

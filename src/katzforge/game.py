@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centrality import WalkDecomposition, katz_solve
+from .centrality import WalkDecomposition, _single_edge_centralities, katz_solve
 from .instance import AllocationProfile, GameInstance, require_feasible
 
 DEFAULT_TOL = 1e-10
@@ -86,21 +86,19 @@ def equilibrium_centralities(g: GameInstance, tol: float = DEFAULT_TOL) -> Equil
     c* is the value of the decision problem in which agent i picks one
     successor j, earns B_i and is discounted by B_i.  A policy puts B_i on one
     successor per agent; its value is that single-edge profile's Katz
-    centrality.  Each round, every agent whose best underlying neighbor beats
-    its successor by more than a rounding margin switches to the
-    smallest-index argmax.  The result is checked: its residual
-    max |v(c) - c| must be within ``tol``, else ArithmeticError.
+    centrality, evaluated in O(n) by ``centrality._single_edge_centralities``.
+    Each round, every agent whose best underlying neighbor beats its
+    successor by more than a rounding margin switches to the smallest-index
+    argmax.  The result is checked: its residual max |v(c) - c| must be
+    within ``tol``, else ArithmeticError.
     """
     require_tol(tol)
     cols, offsets = g.topology.neighbor_index
     starts = offsets[:-1]
-    agents = np.arange(g.n)
     succ = cols[starts]  # any start will do: first neighbor
     rounds = 0
     while True:
-        policy = np.zeros((g.n, g.n))
-        policy[agents, succ] = g.budget_array
-        c = katz_solve(policy)
+        c = _single_edge_centralities(succ.tolist(), g.budgets)
         rounds += 1
         scores = c[cols]
         top = np.maximum.reduceat(scores, starts)

@@ -38,10 +38,14 @@ class FeasibilityError(KatzforgeError, ValueError):
     """An allocation violates the support or budget constraints."""
 
 
-def _philox(seed: int) -> np.random.Generator:
-    # Counter-based 64-bit generator: bit-reproducible across platforms.
+def _require_seed(seed: int) -> None:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _philox(seed: int) -> np.random.Generator:
+    # Counter-based 64-bit generator: bit-reproducible across platforms.
+    _require_seed(seed)
     return np.random.Generator(np.random.Philox(seed))
 
 

@@ -18,7 +18,9 @@ Loads two source trees of the package side by side (as ``kf_parent`` and
   from zero that the writers get, from zero on a directed line of n=1000
   with self-loops and budgets rising from 0.1 to 0.9 along it (every
   in-tree grows to the whole line), and from a nonzero single-edge w0 on
-  the n=500 instance.
+  the n=500 instance;
+- ``equilibrium_centralities`` on the n=1000 instance of those runs and on
+  the same kind of line at n=2000.
 
 The writers' traces are built once, with the change's ``run_brd``; only the
 timed call differs between the sides.  The ``random_profile`` and ``run_brd``
@@ -30,7 +32,8 @@ instance, the same weights; two ``run_brd`` traces must have the same
 status, agents, rows and terminal weights, bit for bit, and the largest
 difference of a record's centralities or residual, relative to
 max(1, max c), must be within ``CROSS_CHECK_TOL`` (NaN fails) and is
-reported.  The outputs are compared in an untimed first
+reported; two certificates must have the same ``iterations``, and c* the
+same bound.  The outputs are compared in an untimed first
 call of each side.  One sample is one wall-clock call over all
 the inputs of its case, with no output of another sample still alive.
 BLAS runs on one thread.  Prints one JSON document (or writes it to
@@ -261,6 +264,20 @@ def cases(parent, change, work: Path) -> dict:
             calls,
             same_decisions,
         )
+
+    def same_certificate(a, b):
+        if a.iterations != b.iterations:
+            return None
+        worst = float(np.max(np.abs(a.c_star - b.c_star))) / max(1.0, float(np.max(b.c_star)))
+        return worst if worst <= CROSS_CHECK_TOL else None  # NaN fails too
+
+    equilibria = {"n1000-d0.02": lambda kf: zero_start(kf, 1000, 0.02), "line-n2000": lambda kf: line_start(kf, 2000)}
+    for key, starts in equilibria.items():
+        calls = {
+            side: (lambda kf=kf, g=starts(kf)[0][0]: kf.equilibrium_centralities(g))
+            for side, kf in (("parent", parent), ("change", change))
+        }
+        out[f"equilibrium_centralities/{key}"] = ("equilibrium_centralities, default tol", calls, same_certificate)
     return out
 
 
@@ -294,7 +311,8 @@ def main(argv: list[str] | None = None) -> int:
             if deviation is None:
                 raise SystemExit(
                     f"{name}: the parent's and the change's outputs differ "
-                    f"(for run_brd: a decision, or a float by more than {CROSS_CHECK_TOL} or NaN)"
+                    f"(for run_brd: a decision, or a float by more than {CROSS_CHECK_TOL} or NaN; "
+                    "for equilibrium_centralities: iterations, or c* by as much)"
                 )
             times = {"parent": [], "change": []}
             for r in range(args.repeats):

@@ -60,6 +60,7 @@ from katzforge.analysis import (
     _centralities,
     _closing_two_paths,
 )
+from katzforge.centrality import _single_edge_centralities
 from katzforge.dynamics import (
     CONVERGED,
     ROUND_ROBIN,
@@ -139,16 +140,15 @@ def v_map_dense(g: GameInstance, x: np.ndarray) -> np.ndarray:
 
 def equilibrium_dense_oracle(g: GameInstance, tol: float = DEFAULT_TOL) -> EquilibriumCertificate:
     """Policy iteration with the neighbor argmax taken over an n x n score
-    matrix masked by the dense support; ``equilibrium_centralities`` must
-    match its c*, round count and residual bitwise."""
+    matrix masked by the dense support, each policy evaluated by the same
+    kernel; ``equilibrium_centralities`` must match its c*, round count and
+    residual bitwise."""
     support = support_mask(g)
     agents = np.arange(g.n)
     succ = support.argmax(axis=1)  # any start will do: first neighbor
     rounds = 0
     while True:
-        policy = np.zeros((g.n, g.n))
-        policy[agents, succ] = g.budget_array
-        c = katz_solve(policy)
+        c = _single_edge_centralities(succ.tolist(), g.budgets)
         gaps = improvement_gaps(g, c)
         rounds += 1
         scores = np.where(support, c, -np.inf)

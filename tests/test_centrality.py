@@ -16,7 +16,8 @@ from katzforge import (
     katz_solve,
     walk_decomposition,
 )
-from katzforge.centrality import SOLVE_RESIDUAL_TOL, InForest, Resolvent
+import katzforge.centrality
+from katzforge.centrality import SOLVE_RESIDUAL_TOL, InForest, Resolvent, _single_edge_centralities
 from oracles import (
     brute_walk_sums,
     fractional_linear_centrality,
@@ -366,7 +367,9 @@ class TestInForest:
         for seed in range(6):
             g = random_game(seed, n_max=25, budget_lo=budget_hi - 0.01, budget_hi=budget_hi)
             w = single_edge_profile(g, seed + 40)
-            forest = InForest(w.weights, Resolvent(w).centralities)
+            forest = InForest(w.weights)
+            want = katz_solve(w)
+            assert np.max(np.abs(forest.centralities - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
             for k in range(50):
                 i = int(rng.integers(g.n))
                 row = single_edge_profile(g, int(rng.integers(2**31))).weights[i]
@@ -385,34 +388,112 @@ class TestInForest:
         for seed in range(10):
             g = random_game(seed, n_max=20, budget_lo=0.5, budget_hi=0.999)
             w = single_edge_profile(g, seed + 40)
-            forest = InForest(w.weights, Resolvent(w).centralities)
+            forest = InForest(w.weights)
             np.testing.assert_array_equal(forest.weights(), w.weights)
             for i in range(g.n):
                 np.testing.assert_array_equal(forest.row(i), w.weights[i])
 
     def test_multi_edge_rows_rejected(self):
         with pytest.raises(ValueError, match="more than one positive entry"):
-            InForest(np.array([[0.1, 0.2], [0.0, 0.0]]), np.zeros(2))
-        forest = InForest(np.zeros((2, 2)), np.zeros(2))
+            InForest(np.array([[0.1, 0.2], [0.0, 0.0]]))
+        forest = InForest(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="row 1 has more than one positive entry"):
             forest.replace_row(0, np.array([0.1, 0.2]))
 
-    def test_drift_is_refined_on_the_in_tree_or_re_evaluated(self):
+    def test_drift_is_re_evaluated(self, monkeypatch):
         # 1 -> 2 -> 3 (self-loop), 4 (self-loop); agent 3 moves to agent 4.
-        # c off by 1e-9 on agent 3's in-tree {1, 2, 3} breaks the check, and
-        # one refinement on that tree mends it; off by 1e-9 at agent 4, off
-        # the tree, it takes a fresh resolvent, counted in rebuilds
+        # c off by 1e-9, on agent 3's in-tree {1, 2, 3} or off it at agent 4,
+        # breaks the check: c is evaluated again, counted in rebuilds, and
+        # the drifted c is not written; a failed check of that evaluation
+        # raises
         g = complete_instance((0.5, 0.6, 0.7, 0.8))
         w = AllocationProfile(np.array([[0, 0.5, 0, 0], [0, 0, 0.6, 0], [0, 0, 0.7, 0], [0, 0, 0, 0.8]]))
         row = np.array([0, 0, 0, 0.7])
         want = katz_solve(with_row(w, 2, row))
-        for drifted, rebuilds in (([0, 1, 2], 0), ([3], 1)):
-            c = Resolvent(w).centralities.copy()
+        for drifted in ([0, 1, 2], [3]):
+            forest = InForest(w.weights)
+            c = forest.centralities.copy()
             c[drifted] += 1e-9
-            forest = InForest(w.weights, c)
+            forest.centralities = c
             got = forest.replace_row(2, row)
-            assert forest.rebuilds == rebuilds
+            assert forest.rebuilds == 1
             assert np.max(np.abs(got - want)) <= CROSS_CHECK_TOL * max(want)
-            if rebuilds:
-                np.testing.assert_array_equal(got, Resolvent(with_row(w, 2, row)).centralities)
-            np.testing.assert_array_equal(c[drifted], Resolvent(w).centralities[drifted] + 1e-9)
+            np.testing.assert_array_equal(got, InForest(with_row(w, 2, row).weights).centralities)
+            np.testing.assert_array_equal(c[drifted], InForest(w.weights).centralities[drifted] + 1e-9)
+        forest = InForest(w.weights)
+        forest.centralities = forest.centralities + 1e-9
+        monkeypatch.setattr(katzforge.centrality, "_forest_residual", lambda succ, w, c: np.ones_like(c))
+        with pytest.raises(ArithmeticError, match="residual 1.0 exceeds bound after a fresh evaluation"):
+            forest.replace_row(2, row)
+        assert forest.rebuilds == 1
+
+
+def _single_edge_matrix(succ: list[int], w: list[float]) -> np.ndarray:
+    a = np.zeros((len(succ), len(succ)))
+    for u, (j, b) in enumerate(zip(succ, w)):
+        if j >= 0:
+            a[u, j] = b
+    return a
+
+
+def _random_functional_graph(rng, n: int, budget_hi: float, empty: float = 0.2):
+    """Successors drawn at random, so that trees hang off cycles of every
+    length (self-loops and 2-cycles included); one row in five empty."""
+    succ = [-1 if rng.random() < empty else int(rng.integers(n)) for _ in range(n)]
+    w = [0.0 if j < 0 else float(rng.uniform(budget_hi - 0.01, budget_hi)) for j in succ]
+    return succ, w
+
+
+class TestSingleEdgeCentralities:
+    """The functional-graph kernel against ``katz_solve`` on the same
+    matrix, within ``CROSS_CHECK_TOL`` * max(1, max c)."""
+
+    @staticmethod
+    def _assert_matches_dense(succ, w):
+        c, want = _single_edge_centralities(succ, w), katz_solve(_single_edge_matrix(succ, w))
+        assert isinstance(c, np.ndarray) and c.shape == (len(succ),)
+        assert np.max(np.abs(c - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
+        return c
+
+    def test_cycles_of_each_shape(self):
+        self._assert_matches_dense([0, 1, 2], [0.5, 0.9, 0.1])  # self-loops
+        self._assert_matches_dense([1, 0, 3, 2], [0.5, 0.9, 0.1, 0.8])  # 2-cycles
+        n = 50
+        self._assert_matches_dense([(u + 1) % n for u in range(n)], np.linspace(0.5, 0.99, n).tolist())
+
+    def test_trees_hanging_off_cycles(self):
+        # 0 -> 1 <-> 2, 3 -> 0, 4 -> 0, 5 -> 5 <- 6 <- 7
+        c = self._assert_matches_dense([1, 2, 1, 0, 0, 5, 5, 6], [0.3, 0.6, 0.7, 0.2, 0.9, 0.4, 0.5, 0.8])
+        assert c[0] == 0.3 * (1.0 + c[1]) and c[7] == 0.8 * (1.0 + c[6])
+
+    def test_empty_rows_and_chains_ending_in_them(self):
+        c = self._assert_matches_dense([1, 2, -1, 2, -1], [0.5, 0.6, 0.0, 0.7, 0.0])
+        np.testing.assert_array_equal(c, [0.5 * 1.6, 0.6, 0.0, 0.7, 0.0])
+        # the zero profile gives exact +0.0
+        c = _single_edge_centralities([-1] * 4, [0.0] * 4)
+        assert c.tobytes() == np.zeros(4).tobytes()
+
+    def test_single_agent(self):
+        assert _single_edge_centralities([0], [0.5]).tolist() == [1.0]
+        assert _single_edge_centralities([-1], [0.0]).tobytes() == np.zeros(1).tobytes()
+
+    @pytest.mark.parametrize("budget_hi", [0.85, 0.999, 0.9999, 0.99999])
+    def test_random_functional_graphs(self, budget_hi):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 5, 10, 40, 100) * 5:
+            self._assert_matches_dense(*_random_functional_graph(rng, n, budget_hi))
+
+    @pytest.mark.parametrize("end", [-1, 1999])
+    def test_line_of_2000(self, end):
+        # 0 -> 1 -> ... -> 1999, ending in an empty row or a self-loop
+        n = 2000
+        succ = list(range(1, n)) + [end]
+        w = np.linspace(0.1, 0.9, n).tolist()
+        if end < 0:
+            w[-1] = 0.0
+        self._assert_matches_dense(succ, w)
+
+    def test_failed_check_raises(self, monkeypatch):
+        monkeypatch.setattr(katzforge.centrality, "_forest_residual", lambda succ, w, c: np.ones_like(c))
+        with pytest.raises(ArithmeticError, match="residual 1.0 exceeds bound after a fresh evaluation"):
+            _single_edge_centralities([0], [0.5])

@@ -9,8 +9,15 @@ import pytest
 
 import katzforge
 from helpers import circulant_profile, complete_instance
-from katzforge import AllocationProfile, serialize_allocation, serialize_instance
-from katzforge.centrality import InForest, Resolvent
+import katzforge.centrality
+from katzforge import (
+    AllocationProfile,
+    equilibrium_centralities,
+    parse_instance,
+    serialize_allocation,
+    serialize_instance,
+)
+from katzforge.centrality import Resolvent
 from katzforge.cli import main
 
 I3_DOC = '{"n": 2, "edges": [[1, 1], [1, 2], [2, 1], [2, 2]], "budgets": [0.5, 0.25]}\n'
@@ -99,9 +106,16 @@ class TestEquilibrium:
         assert np.max(np.abs(np.array(doc["c_star"]) - b / (1 - b))) <= 1e-10
 
     def test_residual_above_tol_is_clear_error(self, tmp_path, capsys):
+        # the first generated instance whose c* has a positive residual,
+        # with a tol below it
         inst = tmp_path / "g.json"
-        assert main(["gen", "--n", "10", "--seed", "1", "-o", str(inst)]) == 0
-        assert main(["equilibrium", str(inst), "--tol", "1e-18"]) == 1
+        for seed in range(1, 11):
+            assert main(["gen", "--n", "10", "--seed", str(seed), "-o", str(inst)]) == 0
+            residual = equilibrium_centralities(parse_instance(inst.read_text())).residual
+            if residual > 0:
+                break
+        capsys.readouterr()
+        assert main(["equilibrium", str(inst), "--tol", repr(residual / 2)]) == 1
         assert "error: equilibrium residual" in capsys.readouterr().err
 
 
@@ -146,18 +160,18 @@ class TestRun:
         assert code == 3
 
     def test_failed_centrality_check_exits_1(self, i3_file, tmp_path, capsys, monkeypatch):
-        # every residual check fails: from zero, the forest's check on the
-        # first move, then the fresh resolvent's; from a w0 with a
-        # multi-edge row, the check on the resolvent factored from it
-        for cls in (InForest, Resolvent):
-            monkeypatch.setattr(cls, "_residual", lambda self, c: np.ones_like(c))
+        # every residual check fails: from zero, the check of the forest's
+        # evaluation of step 0; from a w0 with a multi-edge row, the check
+        # on the resolvent factored from it
+        monkeypatch.setattr(Resolvent, "_residual", lambda self, c: np.ones_like(c))
+        monkeypatch.setattr(katzforge.centrality, "_forest_residual", lambda succ, w, c: np.ones_like(c))
         w0 = tmp_path / "w0.json"
         w0.write_text(serialize_allocation(AllocationProfile(np.array([[0.2, 0.2], [0.0, 0.0]]))))
-        for start in ([], ["--w0", f"file:{w0}"]):
+        for start, after in (([], "evaluation"), (["--w0", f"file:{w0}"], "factorization")):
             code = main(["run", str(i3_file), *start, "-o", str(tmp_path / "t.csv")])
             assert code == 1
             assert capsys.readouterr().err == (
-                "error: centrality residual 1.0 exceeds bound after a fresh factorization\n"
+                f"error: centrality residual 1.0 exceeds bound after a fresh {after}\n"
             )
             assert not (tmp_path / "t.csv").exists()
 

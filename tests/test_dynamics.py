@@ -34,6 +34,7 @@ from katzforge import (
     write_trace_allocations_json,
     write_trace_csv,
 )
+import katzforge.centrality
 import katzforge.dynamics
 from katzforge.centrality import InForest, Resolvent
 from oracles import (
@@ -74,6 +75,18 @@ class TestScheduler:
         with pytest.raises(ValueError) as exc:
             Scheduler.explicit([])
         assert str(exc.value) == "explicit scheduler requires a nonempty sequence"
+
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ValueError) as exc:
+            Scheduler.uniform_random(-1)
+        assert str(exc.value) == "seed must be a non-negative integer, got -1"
+
+    def test_explicit_sequence_may_be_an_array(self):
+        scheduler = Scheduler(kind="explicit", sequence=np.array([0, 1]))
+        assert scheduler.sequence == (0, 1)
+        assert all(type(i) is int for i in scheduler.sequence)
+        with pytest.raises(ValueError, match="explicit scheduler requires a nonempty sequence"):
+            Scheduler(kind="explicit", sequence=np.array([], dtype=int))
 
     def test_explicit_sequence_and_exhaustion(self):
         state = Scheduler.explicit([2, 0, 1]).start(3)
@@ -427,22 +440,38 @@ class TestSolveCount:
 
     @pytest.mark.parametrize("mode", ["standard", "modified"])
     @pytest.mark.parametrize("lazy", [True, False])
-    def test_no_solve_from_zero_and_one_from_a_single_edge_start(self, solves, mode, lazy):
-        # the forest holds every such run; only a nonzero start needs a
-        # solve, for step 0's c
+    def test_no_solve_from_zero_or_a_single_edge_start(self, solves, mode, lazy, i3, i3_ne):
+        # the forest holds every such run, and evaluates step 0's c itself
         cfg = BrdConfig(mode=mode, lazy=lazy, tol=1e-10)
         for seed in range(10):
             g = random_game(seed, n_max=20, budget_hi=0.99)
-            solves.clear()
             assert run_brd(g, AllocationProfile.zeros(g.n), cfg).total_steps > 0
-            assert solves == []
-            run_brd(g, single_edge_profile(g, seed + 22), cfg)
-            assert solves == [g.n]
+            assert run_brd(g, single_edge_profile(g, seed + 22), cfg).total_steps > 0
+        assert run_brd(i3, i3_ne, cfg).total_steps == 0
+        assert solves == []
 
-    def test_nash_start_solves_once(self, solves, i3, i3_ne):
-        trace = run_brd(i3, i3_ne, BrdConfig(lazy=False))
+    def test_nash_start_solves_once(self, solves):
+        # a Nash profile with a multi-edge row: the tied neighbors share it
+        g = complete_instance((0.5, 0.5))
+        trace = run_brd(g, AllocationProfile(np.full((2, 2), 0.25)), BrdConfig(lazy=False))
         assert trace.total_steps == 0
         assert solves == [2]
+
+    def test_equilibrium_makes_no_solve_and_no_n_by_n_array(self, solves):
+        import tracemalloc
+
+        n = 1000
+        g = generate_random_instance(n, 0.02, True, (0.1, 0.9), 1)
+        g.topology.neighbor_index  # built with the topology, not by the call
+        tracemalloc.start()
+        try:
+            cert = equilibrium_centralities(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.iterations > 1
+        assert solves == []
+        assert peak < n * n  # an n x n float array takes 8 n^2 bytes
 
     def test_dense_best_response_factors_once(self, solves, i3):
         best_response(walk_decomposition(i3, AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]])), 0))
@@ -536,15 +565,15 @@ class TestResidualFallback:
             run_brd(g, random_feasible_profile(g, 23), BrdConfig(mode="modified"))
         assert len(armed) == 1
 
-    def test_failed_forest_check_is_re_evaluated(self, monkeypatch):
-        # every in-tree update starts from c off by 1e-9, which no refinement
-        # on the tree may mend here: each move must take c from a fresh
-        # resolvent, count it, and record that resolvent's certified c
+    def test_failed_forest_check_is_re_evaluated(self, monkeypatch, solves):
+        # every in-tree update starts from c off by 1e-9: each move must
+        # evaluate c again, count it, and record that evaluation's c, with
+        # no solve
         forests = []
         init, replace_row = InForest.__init__, InForest.replace_row
 
-        def recording(self, a, c):
-            init(self, a, c)
+        def recording(self, a):
+            init(self, a)
             forests.append(self)
 
         def perturbed(self, i, row):
@@ -553,62 +582,58 @@ class TestResidualFallback:
 
         monkeypatch.setattr(InForest, "__init__", recording)
         monkeypatch.setattr(InForest, "replace_row", perturbed)
-        monkeypatch.setattr(InForest, "_tree_solve", lambda self, i, r, *tree: np.zeros_like(r))
         for seed in range(10):
             g = random_game(seed, n_max=15)
             forests.clear()
             w = AllocationProfile.zeros(g.n)
             trace = run_brd(g, w, BrdConfig(mode="modified"))
             assert trace.converged
-            [forest] = forests
+            forest = forests[0]
             assert forest.rebuilds == trace.total_steps > 0
             for step in trace.steps[1:]:
                 w = with_row(w, step.agent, step.row)
-                np.testing.assert_array_equal(step.centralities, Resolvent(w).centralities)
+                np.testing.assert_array_equal(step.centralities, InForest(w.weights).centralities)
                 assert step.residual == float(np.max(np.abs(improvement_gaps(g, step.centralities))))
+        assert solves == []
 
     def test_failed_check_after_re_evaluation_raises(self, monkeypatch):
         # from the first move on the forest, every residual is 1: the forest's
-        # check fails, so does its refinement's, and the fresh resolvent's
-        # check raises
+        # check fails, and so does the check of its fresh evaluation
         armed = []
         replace_row = InForest.replace_row
-        residuals = {cls: cls._residual for cls in (InForest, Resolvent)}
+        residual = katzforge.centrality._forest_residual
 
         def arming(self, i, row):
             armed.append(i)
             return replace_row(self, i, row)
 
         monkeypatch.setattr(InForest, "replace_row", arming)
-        for cls, residual in residuals.items():
-            monkeypatch.setattr(
-                cls, "_residual", lambda self, c, f=residual: np.ones_like(c) if armed else f(self, c)
-            )
+        monkeypatch.setattr(
+            katzforge.centrality, "_forest_residual", lambda succ, w, c: np.ones_like(c) if armed else residual(succ, w, c)
+        )
         g = random_game(2)
         for w0 in (AllocationProfile.zeros(g.n), single_edge_profile(g, 24)):
             armed.clear()
-            with pytest.raises(ArithmeticError, match="residual 1.0 exceeds bound after a fresh factorization"):
+            with pytest.raises(ArithmeticError, match="residual 1.0 exceeds bound after a fresh evaluation"):
                 run_brd(g, w0, BrdConfig(mode="modified"))
             assert len(armed) == 1
 
-    def test_near_one_drift_is_refined_on_the_in_tree(self, monkeypatch):
+    def test_near_one_drift_is_re_evaluated(self, monkeypatch, solves):
         # near budgets of 1 the in-tree update's rounding alone breaks the
-        # bound once on this run, which calls no BLAS; one refinement on the
-        # tree mends it, with no fresh factorization
-        refined, forests = [], []
-        init, tree_solve = InForest.__init__, InForest._tree_solve
+        # bound once on this run; the fresh evaluation mends it, with no solve
+        forests = []
+        init = InForest.__init__
 
-        def recording(self, a, c):
-            init(self, a, c)
+        def recording(self, a):
+            init(self, a)
             forests.append(self)
 
         monkeypatch.setattr(InForest, "__init__", recording)
-        monkeypatch.setattr(InForest, "_tree_solve", lambda self, i, r, *tree: refined.append(i) or tree_solve(self, i, r, *tree))
         g = generate_random_instance(40, 0.3, True, (0.999995 - 1e-6, 0.999995), 11)
         trace = run_brd(g, AllocationProfile.zeros(g.n), BrdConfig(mode="modified"))
         assert trace.converged
-        assert len(refined) == 1
-        assert forests[0].rebuilds == 0
+        assert [f.rebuilds for f in forests] == [1]
+        assert solves == []
 
 
 class TestHandover:
