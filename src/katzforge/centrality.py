@@ -3,7 +3,9 @@
 Centrality vectors are plain float ndarrays of length n.  Every dense solve
 is a residual-checked LU with partial pivoting; I - A is strictly row
 diagonally dominant for any substochastic A, so the systems are well
-conditioned at desk scale.  ``katz_solve`` factors I - A once per call.
+conditioned at desk scale.  ``katz_solve`` asks one reader,
+``_single_edge_rows``, for the profile's shape: a functional graph (no row
+with two positive entries) goes to the O(n) kernel, any other to one LU.
 One formula reads an agent's walk decomposition off its first-visit sums q
 and the Katz centralities c of A.  ``walk_decomposition`` gets both from one
 solve with agent i's row zeroed.  Two classes hold a profile that changes
@@ -73,15 +75,29 @@ def _solve_checked(m: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _single_edge_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """A successor and a weight per row of ``a`` (-1 and 0 for an empty
+    row), or None when some row has more than one nonzero entry."""
+    if np.any(np.count_nonzero(a, axis=1) > 1):  # cheaper than np.nonzero
+        return None
+    rows, cols = np.nonzero(a)
+    succ, w = np.full(len(a), -1), np.zeros(len(a))
+    succ[rows], w[rows] = cols, a[rows, cols]
+    return succ, w
+
+
 def katz_solve(w: AllocationProfile | np.ndarray) -> np.ndarray:
     """Katz centralities of the network induced by ``w``: the solution of
     (I - A) c = A 1, i.e. the sum of all discounted walks from each agent.
 
-    Requires all row sums < 1; the solve residual is verified against
-    ``SOLVE_RESIDUAL_TOL * n``.
+    Requires all row sums < 1.  A functional graph goes to the O(n) kernel
+    with no solve, any other profile to one LU (see the module docstring);
+    either residual is verified against ``SOLVE_RESIDUAL_TOL * n``.
     """
     a = _weights(w)
     _require_substochastic(a)
+    if (forest := _single_edge_rows(a)) is not None:
+        return _single_edge_centralities(forest[0].tolist(), forest[1].tolist())
     n = a.shape[0]
     return _solve_checked(np.eye(n) - a, a @ np.ones(n))
 
@@ -336,18 +352,15 @@ class InForest:
 
     def __init__(self, a: np.ndarray):
         """The profile ``a``, as an n x n array; c is evaluated from it."""
-        rows, cols = np.nonzero(a)  # rows ascend
-        if np.any(rows[1:] == rows[:-1]):
+        forest = _single_edge_rows(a)
+        if forest is None:
             raise ValueError("a row of the profile has more than one positive entry")
-        n = len(a)
-        self._succ = np.full(n, -1)
-        self._succ[rows] = cols
-        self._w = np.zeros(n)
-        self._w[rows] = a[rows, cols]
-        self._preds = [set() for _ in range(n)]
-        for u, s in zip(rows.tolist(), cols.tolist()):
-            self._preds[s].add(u)
-        self.centralities = _single_edge_centralities(self._succ.tolist(), self._w.tolist())
+        self._succ, self._w = forest
+        succ = self._succ.tolist()
+        self._preds = [set() for _ in succ]
+        for u in np.flatnonzero(self._succ >= 0).tolist():
+            self._preds[succ[u]].add(u)
+        self.centralities = _single_edge_centralities(succ, self._w.tolist())
         self.rebuilds = 0
         self._walk = None  # (i, its in-tree), kept by decomposition for one _in_tree call
 

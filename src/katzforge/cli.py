@@ -210,18 +210,20 @@ def run(
 ) -> None:
     """Run best-response dynamics and record the trace."""
     g = _read_instance(instance)
+    if w0_spec == "zero":
+        start = lambda w0_seed: AllocationProfile.zeros(g.n)
+    elif w0_spec == "random":
+        start = lambda w0_seed: random_profile(g, w0_seed)
+    elif w0_spec.startswith("file:"):  # read once for every seed
+        w0_file = parse_allocation(Path(w0_spec[5:]).read_text(encoding="utf-8"), g.n)
+        start = lambda w0_seed: w0_file
+    else:
+        raise click.UsageError(f"unknown --w0 {w0_spec!r}; expected zero, random, or file:PATH")
 
     def one_run(run_seed: int, out_path: Path) -> str:
         sched_seed, w0_seed = _derived_seeds(run_seed, 2)
         scheduler = _parse_scheduler(scheduler_spec, sched_seed, g.n)
-        if w0_spec == "zero":
-            w0 = AllocationProfile.zeros(g.n)
-        elif w0_spec == "random":
-            w0 = random_profile(g, w0_seed)
-        elif w0_spec.startswith("file:"):
-            w0 = parse_allocation(Path(w0_spec[5:]).read_text(encoding="utf-8"), g.n)
-        else:
-            raise click.UsageError(f"unknown --w0 {w0_spec!r}; expected zero, random, or file:PATH")
+        w0 = start(w0_seed)
         cfg = BrdConfig(scheduler=scheduler, max_steps=max_steps, tol=tol, lazy=lazy, mode=mode)
         trace = run_brd(g, w0, cfg)
         meta = _meta(

@@ -192,6 +192,7 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
     """
     cfg = cfg or BrdConfig()
     require_feasible(g, w0)
+    state = cfg.scheduler.start(g.n)
     modified = cfg.mode == "modified"
     limit = cfg.max_steps
     if limit is None and not modified:
@@ -204,7 +205,6 @@ def run_brd(g: GameInstance, w0: AllocationProfile, cfg: BrdConfig | None = None
     gaps = improvement_gaps(g, c)
     residual = float(np.max(np.abs(gaps)))
     steps = [_record(0, None, None, c, residual)]
-    state = cfg.scheduler.start(g.n)
     k = 0
     while True:
         improvers = np.flatnonzero(gaps > cfg.tol).tolist() if modified else None

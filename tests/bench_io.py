@@ -20,7 +20,11 @@ Loads two source trees of the package side by side (as ``kf_parent`` and
   in-tree grows to the whole line), and from a nonzero single-edge w0 on
   the n=500 instance;
 - ``equilibrium_centralities`` on the n=1000 instance of those runs and on
-  the same kind of line at n=2000.
+  the same kind of line at n=2000;
+- ``katz_solve`` on two single-edge profiles, the terminal of the n=1000
+  run from zero and the equilibrium policy of the n=2000 line, and on a
+  multi-edge ``random_profile`` of the n=500 instance, whose centralities
+  must be identical on both sides.
 
 The writers' traces are built once, with the change's ``run_brd``; only the
 timed call differs between the sides.  The ``random_profile`` and ``run_brd``
@@ -28,7 +32,9 @@ cases build each side's inputs with that side's package.  Each writer case
 also reports the share of c_j entries whose bits did not change since the
 previous record and the share of zero-bit weights, which is what the writers
 skip.  Every pair of outputs must be identical: the same file bytes, the same
-instance, the same weights; two ``run_brd`` traces must have the same
+instance, the same weights; two ``katz_solve`` results on a single-edge
+profile must agree within ``CROSS_CHECK_TOL`` relative to max(1, max c)
+(NaN fails); two ``run_brd`` traces must have the same
 status, agents, rows and terminal weights, bit for bit, and the largest
 difference of a record's centralities or residual, relative to
 max(1, max c), must be within ``CROSS_CHECK_TOL`` (NaN fails) and is
@@ -118,6 +124,17 @@ def line_start(kf, n: int) -> list:
     edges = [(i, i + 1) for i in range(n - 1)] + [(i, i) for i in range(n)]
     g = kf.GameInstance(kf.topology_from_edges(n, edges), tuple(np.linspace(0.1, 0.9, n).tolist()))
     return [(g, kf.AllocationProfile.zeros(n))]
+
+
+def line_policy(kf, n: int) -> np.ndarray:
+    """The equilibrium policy of ``line_start``'s line: B_i on the
+    out-neighbor, i or i + 1, with the larger c*."""
+    g = line_start(kf, n)[0][0]
+    c = kf.equilibrium_centralities(g).c_star
+    w = np.zeros((n, n))
+    for i in range(n):
+        w[i, max(g.topology.out_neighbors(i), key=lambda j: c[j])] = g.budgets[i]
+    return w
 
 
 def single_edge_start(kf, n: int, density: float) -> list:
@@ -265,11 +282,12 @@ def cases(parent, change, work: Path) -> dict:
             same_decisions,
         )
 
-    def same_certificate(a, b):
-        if a.iterations != b.iterations:
-            return None
-        worst = float(np.max(np.abs(a.c_star - b.c_star))) / max(1.0, float(np.max(b.c_star)))
+    def same_centralities(a, b):
+        worst = float(np.max(np.abs(a - b))) / max(1.0, float(np.max(b)))
         return worst if worst <= CROSS_CHECK_TOL else None  # NaN fails too
+
+    def same_certificate(a, b):
+        return same_centralities(a.c_star, b.c_star) if a.iterations == b.iterations else None
 
     equilibria = {"n1000-d0.02": lambda kf: zero_start(kf, 1000, 0.02), "line-n2000": lambda kf: line_start(kf, 2000)}
     for key, starts in equilibria.items():
@@ -278,6 +296,24 @@ def cases(parent, change, work: Path) -> dict:
             for side, kf in (("parent", parent), ("change", change))
         }
         out[f"equilibrium_centralities/{key}"] = ("equilibrium_centralities, default tol", calls, same_certificate)
+
+    g500 = zero_start(change, 500, 0.05)[0][0]
+    profiles = {
+        "zero-n1000-d0.02-terminal": (
+            "the terminal of the modified run from zero at n=1000",
+            traces["zero-n1000-d0.02"][0].terminal.weights,
+            same_centralities,
+        ),
+        "line-n2000-policy": ("the equilibrium policy of the n=2000 line", line_policy(change, 2000), same_centralities),
+        "random-n500-d0.05": (
+            "random_profile(g, 1) of the n=500 instance, multi-edge",
+            change.random_profile(g500, 1).weights,
+            lambda a, b: identical(a.tobytes() == b.tobytes()),
+        ),
+    }
+    for key, (what, a, compare) in profiles.items():
+        calls = {side: (lambda kf=kf, a=a: kf.katz_solve(a)) for side, kf in (("parent", parent), ("change", change))}
+        out[f"katz_solve/{key}"] = (f"katz_solve on {what}", calls, compare)
     return out
 
 
@@ -312,7 +348,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise SystemExit(
                     f"{name}: the parent's and the change's outputs differ "
                     f"(for run_brd: a decision, or a float by more than {CROSS_CHECK_TOL} or NaN; "
-                    "for equilibrium_centralities: iterations, or c* by as much)"
+                    "for equilibrium_centralities: iterations, or c* by as much; for katz_solve: "
+                    "c by as much, or any bit of it on the multi-edge profile)"
                 )
             times = {"parent": [], "change": []}
             for r in range(args.repeats):

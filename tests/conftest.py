@@ -28,3 +28,17 @@ def i3() -> GameInstance:
 def i3_ne() -> AllocationProfile:
     """A Nash profile of i3: both agents put everything on agent 1."""
     return AllocationProfile(np.array([[0.5, 0.0], [0.25, 0.0]]))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Sizes of the systems passed to numpy.linalg.solve, in call order."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(a.shape[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls

@@ -8,7 +8,11 @@ function (d . row) / (1 - q . row) of its own row, best responses by one
 full solve per single-edge allocation, c* by value iteration rather than
 policy iteration, strongly connected components by transitive closure, and
 cycle-parity classes by enumerating simple cycles, so results can be checked
-against genuinely different computations.  The ``*_nx`` routines are the
+against genuinely different computations.  ``katz_dense`` solves every
+profile by the checked LU, even one that ``katz_solve`` hands to the
+functional-graph kernel, so it is the dense reference of that kernel and
+gives the best-response oracle and ``brd_reference`` their centralities.
+The ``*_nx`` routines are the
 structure checks' former networkx forms (SCCs, condensation and parity
 classes), which the CSR routes must match exactly; ``bfs_path_nx`` takes a
 witness back-path from networkx's breadth-first tree (``bfs_predecessors``)
@@ -60,7 +64,12 @@ from katzforge.analysis import (
     _centralities,
     _closing_two_paths,
 )
-from katzforge.centrality import _single_edge_centralities
+from katzforge.centrality import (
+    _require_substochastic,
+    _single_edge_centralities,
+    _solve_checked,
+    _weights,
+)
 from katzforge.dynamics import (
     CONVERGED,
     ROUND_ROBIN,
@@ -72,6 +81,15 @@ from katzforge.dynamics import (
 )
 from katzforge.game import DEFAULT_TOL, SWITCH_MARGIN_ULPS, TIE_REL_TOL, improvement_gaps
 from katzforge.instance import BUDGET_EQ_TOL, _philox, require_feasible
+
+
+def katz_dense(w: AllocationProfile | np.ndarray) -> np.ndarray:
+    """Katz centralities by one residual-checked LU of I - A, whatever the
+    profile's shape: ``katz_solve``'s route for multi-edge profiles."""
+    a = _weights(w)
+    _require_substochastic(a)
+    n = a.shape[0]
+    return _solve_checked(np.eye(n) - a, a @ np.ones(n))
 
 
 def katz_series(w: AllocationProfile | np.ndarray, depth: int) -> np.ndarray:
@@ -178,7 +196,7 @@ def best_response_oracle(
     for j in g.topology.out_neighbors(i):
         trial = np.zeros(g.n)
         trial[j] = g.budgets[i]
-        values.append((j, float(katz_solve(with_row(w, i, trial))[i])))
+        values.append((j, float(katz_dense(with_row(w, i, trial))[i])))
     top = max(v for _, v in values)
     argmax_set = tuple(sorted(j for j, v in values if v >= top * (1.0 - tie_tol)))
     j_star = argmax_set[0]
@@ -270,7 +288,7 @@ def _standard_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
     require_feasible(g, w0)
 
     w = w0
-    c = katz_solve(w)
+    c = katz_dense(w)
     gaps = v_map(g, c) - c
     residual = float(np.max(np.abs(gaps)))
     steps = [_record(0, None, None, c, residual)]
@@ -290,7 +308,7 @@ def _standard_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
             br = best_response(walk_decomposition(g, w, i))
             row = br.canonical
             w = with_row(w, i, row)
-            c = katz_solve(w)
+            c = katz_dense(w)
             gaps = v_map(g, c) - c
             residual = float(np.max(np.abs(gaps)))
         steps.append(_record(k, i, row, c, residual))
@@ -304,7 +322,7 @@ def _modified_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
     require_feasible(g, w0)
 
     w = w0
-    c = katz_solve(w)
+    c = katz_dense(w)
     gaps = v_map(g, c) - c
     residual = float(np.max(np.abs(gaps)))
     steps = [_record(0, None, None, c, residual)]
@@ -326,7 +344,7 @@ def _modified_brd_reference(g: GameInstance, w0: AllocationProfile, cfg: BrdConf
         k += 1
         br = best_response(walk_decomposition(g, w, i))
         w = with_row(w, i, br.canonical)
-        c_next = katz_solve(w)
+        c_next = katz_dense(w)
         if not c_next[i] > c[i]:
             raise ArithmeticError(
                 f"step {k}: centrality of agent {i + 1} did not strictly increase"

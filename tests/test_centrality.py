@@ -5,6 +5,7 @@ from helpers import (
     CROSS_CHECK_TOL,
     complete_instance,
     edge_set,
+    mixed_profile,
     random_feasible_profile,
     random_game,
     single_edge_profile,
@@ -12,15 +13,21 @@ from helpers import (
 )
 from katzforge import (
     AllocationProfile,
+    BrdConfig,
     FeasibilityError,
+    generate_random_instance,
+    is_nash,
     katz_solve,
+    run_brd,
     walk_decomposition,
 )
+from katzforge.analysis import run_structure_checks
 import katzforge.centrality
 from katzforge.centrality import SOLVE_RESIDUAL_TOL, InForest, Resolvent, _single_edge_centralities
 from oracles import (
     brute_walk_sums,
     fractional_linear_centrality,
+    katz_dense,
     katz_series,
     series_pq,
     series_pq_per_length,
@@ -35,7 +42,8 @@ class TestKatzSolve:
         assert c[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_profile_zero_centrality(self, i2):
-        np.testing.assert_array_equal(katz_solve(AllocationProfile.zeros(2)), np.zeros(2))
+        # +0.0, bit for bit
+        assert katz_solve(AllocationProfile.zeros(2)).tobytes() == np.zeros(2).tobytes()
 
     def test_two_agent_hand_solution(self):
         c = katz_solve(AllocationProfile(np.array([[0.0, 0.5], [0.25, 0.0]])))
@@ -46,10 +54,13 @@ class TestKatzSolve:
             katz_solve(np.array([[1.0]]))
 
     def test_nan_residual_rejected(self):
-        # a NaN weight passes the row-sum test and solves to NaN; its NaN
-        # residual must fail the bound, not slip past it
-        with pytest.raises(ArithmeticError, match="residual nan exceeds bound"):
+        # a NaN weight passes the row-sum test and evaluates to NaN, by the
+        # kernel or by the LU; its NaN residual must fail the bound, not slip
+        # past it
+        with pytest.raises(ArithmeticError, match="centrality residual nan exceeds bound"):
             katz_solve(np.array([[np.nan]]))
+        with pytest.raises(ArithmeticError, match="linear solve residual nan exceeds bound"):
+            katz_solve(np.array([[np.nan, 0.1], [0.0, 0.0]]))
 
     def test_residual_bound_on_random_profiles(self):
         for seed in range(50):
@@ -59,6 +70,66 @@ class TestKatzSolve:
             c = katz_solve(w)
             residual = np.max(np.abs((np.eye(g.n) - a) @ c - a @ np.ones(g.n)))
             assert residual <= 1e-12 * g.n
+
+
+class TestOneRoutePerShape:
+    """``katz_solve`` hands a profile whose every row has at most one positive
+    entry to the functional-graph kernel, which ``InForest`` evaluates with
+    too, and solves any other; ``katz_dense`` keeps the LU for both."""
+
+    @pytest.mark.parametrize("budget_hi", [0.85, 0.99, 0.999, 0.9999])
+    def test_single_edge_profiles_match_dense_route(self, budget_hi):
+        rng = np.random.default_rng(11)
+        profiles = [
+            single_edge_profile(random_game(seed, n_max=25, budget_lo=budget_hi - 0.01, budget_hi=budget_hi), seed + 40)
+            for seed in range(20)
+        ]
+        profiles += [_single_edge_matrix(*_random_functional_graph(rng, n, budget_hi)) for n in (2, 5, 10, 40, 100) * 4]
+        for w in profiles:
+            a = w.weights if isinstance(w, AllocationProfile) else w
+            c, want = katz_solve(w), katz_dense(w)
+            assert np.max(np.abs(c - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
+            assert c.tobytes() == InForest(a).centralities.tobytes()
+
+    def test_failed_single_edge_check_raises_the_kernels_error(self, monkeypatch):
+        monkeypatch.setattr(katzforge.centrality, "_forest_residual", lambda succ, w, c: np.ones_like(c))
+        with pytest.raises(ArithmeticError, match="residual 1.0 exceeds bound after a fresh evaluation"):
+            katz_solve(np.array([[0.0, 0.5], [0.25, 0.0]]))
+
+    def test_verify_and_analyze_solve_only_multi_edge_profiles(self, solves, i3, i3_ne):
+        multi = AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]]))
+        for w, want in ((i3_ne, []), (AllocationProfile.zeros(2), []), (multi, [2])):
+            solves.clear()
+            is_nash(i3, w)
+            assert solves == want
+            solves.clear()
+            run_structure_checks(i3, w)
+            assert solves == want
+        for seed in range(10):
+            g = random_game(seed, n_max=20, budget_hi=0.99)
+            w = single_edge_profile(g, seed + 22)
+            solves.clear()
+            is_nash(g, w)
+            run_structure_checks(g, w)
+            assert solves == []
+            w = mixed_profile(g, seed + 23)
+            if np.any(np.count_nonzero(w.weights, axis=1) > 1):
+                solves.clear()
+                is_nash(g, w)
+                run_structure_checks(g, w)
+                assert solves == [g.n, g.n]
+
+    @pytest.mark.parametrize("cap", [0.999995, 0.999998])
+    def test_near_one_terminals_get_a_verdict_and_a_report(self, cap):
+        # n=40, density 0.3, self-loops, budgets in [cap - 10 (1 - cap), cap]:
+        # a dense LU of such a terminal fails its residual bound on most games
+        for seed in range(40):
+            g = generate_random_instance(40, 0.3, True, (cap - 10 * (1 - cap), cap), seed)
+            trace = run_brd(g, AllocationProfile.zeros(g.n), BrdConfig(mode="modified"))
+            verdict = is_nash(g, trace.terminal)
+            assert verdict.residual == float(np.max(np.abs(verdict.v_gaps)))
+            report, cond = run_structure_checks(g, trace.terminal)
+            assert report.checks and cond.components
 
 
 class TestKatzSeries:
@@ -258,7 +329,7 @@ class TestResolvent:
                 i = int(rng.integers(g.n))
                 row = _random_row(g, i, rng)
                 w = with_row(w, i, row)
-                c, want = res.replace_row(i, row), katz_solve(w)
+                c, want = res.replace_row(i, row), katz_dense(w)
                 assert np.max(np.abs(c - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
                 a = w.weights
                 assert np.max(np.abs(c - a @ c - a @ np.ones(g.n))) <= SOLVE_RESIDUAL_TOL * g.n
@@ -283,7 +354,7 @@ class TestResolvent:
         c = res.replace_row(0, row)
         assert res.rebuilds == 1
         np.testing.assert_array_equal(c, Resolvent(w).centralities)
-        assert np.max(np.abs(c - katz_solve(w))) <= CROSS_CHECK_TOL
+        assert np.max(np.abs(c - katz_dense(w))) <= CROSS_CHECK_TOL
         np.testing.assert_allclose(res._m, np.linalg.inv(np.eye(2) - w.weights), rtol=1e-14)
         # an update whose denominator is not positive rebuilds too
         res._m[:] = 0.0
@@ -292,13 +363,13 @@ class TestResolvent:
         c = res.replace_row(0, np.array([0.4, 0.0]))
         assert res.rebuilds == 2
         np.testing.assert_array_equal(c, Resolvent(w).centralities)
-        assert np.max(np.abs(c - katz_solve(w))) <= CROSS_CHECK_TOL
+        assert np.max(np.abs(c - katz_dense(w))) <= CROSS_CHECK_TOL
         np.testing.assert_allclose(res._m, np.linalg.inv(np.eye(2) - w.weights), rtol=1e-14)
         # the rebuilt inverse serves the next update without a rebuild
         w = with_row(w, 1, np.array([0.0, 0.25]))
         c = res.replace_row(1, np.array([0.0, 0.25]))
         assert res.rebuilds == 2
-        assert np.max(np.abs(c - katz_solve(w))) <= CROSS_CHECK_TOL
+        assert np.max(np.abs(c - katz_dense(w))) <= CROSS_CHECK_TOL
         np.testing.assert_array_equal(res.weights(), w.weights)
 
     def test_failed_check_on_a_fresh_factorization_raises(self, monkeypatch):
@@ -330,7 +401,7 @@ class TestResolvent:
             i = seed % g.n
             row = _random_row(g, i, np.random.default_rng(seed))
             w = with_row(w, i, row)
-            c, want = res.replace_row(i, row), katz_solve(w)
+            c, want = res.replace_row(i, row), katz_dense(w)
             assert res.rebuilds == 0
             assert np.max(np.abs(c - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
             # the drift reaches a decomposition only through q: p is scored
@@ -368,7 +439,7 @@ class TestInForest:
             g = random_game(seed, n_max=25, budget_lo=budget_hi - 0.01, budget_hi=budget_hi)
             w = single_edge_profile(g, seed + 40)
             forest = InForest(w.weights)
-            want = katz_solve(w)
+            want = katz_dense(w)
             assert np.max(np.abs(forest.centralities - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
             for k in range(50):
                 i = int(rng.integers(g.n))
@@ -376,7 +447,7 @@ class TestInForest:
                 if k % 2:
                     forest.decomposition(g, i)
                 w = with_row(w, i, row)
-                c, want = forest.replace_row(i, row), katz_solve(w)
+                c, want = forest.replace_row(i, row), katz_dense(w)
                 assert c is forest.centralities
                 assert np.max(np.abs(c - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
                 a = w.weights
@@ -409,7 +480,7 @@ class TestInForest:
         g = complete_instance((0.5, 0.6, 0.7, 0.8))
         w = AllocationProfile(np.array([[0, 0.5, 0, 0], [0, 0, 0.6, 0], [0, 0, 0.7, 0], [0, 0, 0, 0.8]]))
         row = np.array([0, 0, 0, 0.7])
-        want = katz_solve(with_row(w, 2, row))
+        want = katz_dense(with_row(w, 2, row))
         for drifted in ([0, 1, 2], [3]):
             forest = InForest(w.weights)
             c = forest.centralities.copy()
@@ -445,12 +516,12 @@ def _random_functional_graph(rng, n: int, budget_hi: float, empty: float = 0.2):
 
 
 class TestSingleEdgeCentralities:
-    """The functional-graph kernel against ``katz_solve`` on the same
+    """The functional-graph kernel against ``katz_dense`` on the same
     matrix, within ``CROSS_CHECK_TOL`` * max(1, max c)."""
 
     @staticmethod
     def _assert_matches_dense(succ, w):
-        c, want = _single_edge_centralities(succ, w), katz_solve(_single_edge_matrix(succ, w))
+        c, want = _single_edge_centralities(succ, w), katz_dense(_single_edge_matrix(succ, w))
         assert isinstance(c, np.ndarray) and c.shape == (len(succ),)
         assert np.max(np.abs(c - want)) <= CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
         return c

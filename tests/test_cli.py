@@ -10,9 +10,11 @@ import pytest
 import katzforge
 from helpers import circulant_profile, complete_instance
 import katzforge.centrality
+import katzforge.cli
 from katzforge import (
     AllocationProfile,
     equilibrium_centralities,
+    parse_allocation,
     parse_instance,
     serialize_allocation,
     serialize_instance,
@@ -188,6 +190,23 @@ class TestRun:
         assert code == 0
         files = sorted(p.name for p in tmp_path.glob("t-seed*.csv"))
         assert files == ["t-seed1.csv", "t-seed2.csv", "t-seed3.csv"]
+
+    def test_batch_reads_the_w0_file_once(self, i3_file, tmp_path, monkeypatch):
+        w0 = tmp_path / "w0.json"
+        w0.write_text(serialize_allocation(AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]]))))
+        base = ["run", str(i3_file), "--scheduler", "random", "--w0", f"file:{w0}"]
+        parsed = []
+
+        def counting(text, n):
+            parsed.append(n)
+            return parse_allocation(text, n)
+
+        monkeypatch.setattr(katzforge.cli, "parse_allocation", counting)
+        assert main(base + ["--seeds", "0:2", "-o", str(tmp_path / "t.csv")]) == 0
+        assert parsed == [2]
+        for s in range(3):
+            assert main(base + ["--seed", str(s), "-o", str(tmp_path / "one.csv")]) == 0
+            assert (tmp_path / f"t-seed{s}.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
     def test_batch_jobs_matches_sequential(self, i3_file, tmp_path):
         seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"

@@ -40,6 +40,7 @@ from katzforge.centrality import InForest, Resolvent
 from oracles import (
     ScheduleReference,
     brd_reference,
+    katz_dense,
     write_trace_allocations_json_oracle,
     write_trace_csv_oracle,
 )
@@ -103,6 +104,23 @@ class TestScheduler:
         # run_brd checks the schedule before the first step, even at a Nash start
         with pytest.raises(ValueError, match="out of range"):
             run_brd(i3, i3_ne, BrdConfig(scheduler=Scheduler.explicit([5])))
+
+    def test_explicit_schedule_checked_before_the_profile_is_built(self, monkeypatch, i3):
+        # an out-of-range agent is rejected before any holder is built, so a
+        # multi-edge w0 costs no n-column solve first
+        with pytest.raises(ValueError) as start:
+            Scheduler.explicit([2]).start(2)
+
+        def built(self, a):
+            raise AssertionError("a holder was built")
+
+        monkeypatch.setattr(Resolvent, "__init__", built)
+        monkeypatch.setattr(InForest, "__init__", built)
+        cfg = BrdConfig(scheduler=Scheduler.explicit([2]))
+        for w0 in (AllocationProfile.zeros(2), AllocationProfile(np.array([[0.1, 0.2], [0.05, 0.1]]))):
+            with pytest.raises(ValueError) as run:
+                run_brd(i3, w0, cfg)
+            assert str(run.value) == str(start.value)
 
     def test_agents_and_seeds_must_be_integers(self):
         # int() would truncate 0.9 and 2.99 to agents 0 and 2, and read True as 1
@@ -392,27 +410,13 @@ class TestAgainstReference:
         assert trace.converged
         w = w0
         for prev, step in zip(trace.steps, trace.steps[1:]):
-            gaps = improvement_gaps(g, katz_solve(w))
+            gaps = improvement_gaps(g, katz_dense(w))
             assert gaps[step.agent] > tol  # only improvers move
             assert step.centralities[step.agent] > prev.centralities[step.agent]
             w = with_row(w, step.agent, step.row)
         standard = run_brd(g, w0, BrdConfig(tol=tol))
         assert standard.config.mode == "standard"
         assert standard.total_steps != trace.total_steps
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """Sizes of the systems passed to numpy.linalg.solve, in call order."""
-    calls = []
-    solve = np.linalg.solve
-
-    def counting(a, b):
-        calls.append(a.shape[0])
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
-    return calls
 
 
 class TestSolveCount:
@@ -539,7 +543,7 @@ class TestResidualFallback:
             fresh = Resolvent.__new__(Resolvent)
             init(fresh, w)
             np.testing.assert_array_equal(first.centralities, fresh.centralities)
-            want = katz_solve(w)
+            want = katz_dense(w)
             bound = CROSS_CHECK_TOL * max(1.0, float(np.max(want)))
             assert np.max(np.abs(first.centralities - want)) <= bound
             assert first.residual == float(np.max(np.abs(improvement_gaps(g, first.centralities))))
