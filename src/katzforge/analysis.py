@@ -5,135 +5,25 @@ Checks carry a three-way status: each structural claim is only asserted
 under its hypotheses, so a check whose precondition fails reports
 "inapplicable" rather than pass or fail.
 
-Cycle parity covers every simple cycle of the support in polynomial time:
-it never lists cycles, it tests the parity classes that their 2-paths
-induce.
+The checks read the support digraph that each profile builds once.  Cycle
+parity covers every simple cycle of the support in polynomial time: it
+never lists cycles, it tests the parity classes that their 2-paths induce.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .centrality import katz_solve
 from .game import DEFAULT_TOL, require_tol
 from .instance import BUDGET_EQ_TOL, AllocationProfile, GameInstance
+from .support import _sweep, _Support
 
 PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
-
-
-def _sweep(adjacent: list[list[int]], roots: Iterable[int]) -> list[tuple[int, ...]]:
-    """Components grown from ``roots`` in turn: each root not yet taken takes
-    every untaken agent it reaches through ``adjacent``.  Members sorted,
-    components in the order of their roots."""
-    taken = [False] * len(adjacent)
-    found = []
-    for root in roots:
-        if taken[root]:
-            continue
-        taken[root] = True
-        members = [root]
-        for v in members:  # the list grows while it is read
-            for u in adjacent[v]:
-                if not taken[u]:
-                    taken[u] = True
-                    members.append(u)
-        found.append(tuple(sorted(members)))
-    return found
-
-
-class _Support:
-    """Positive-weight digraph of ``w`` as CSR arrays, its adjacency lists and
-    its strongly connected components (Kosaraju's), each built on first use.
-    Edges come row-major, so every agent's successors and predecessors ascend."""
-
-    def __init__(self, w: AllocationProfile):
-        self.weights = w.weights
-        self.rows, self.cols = np.nonzero(w.weights > 0)
-
-    def _lists(self, keys: np.ndarray, values: np.ndarray) -> list[list[int]]:
-        # keys ascend, values ascend within each key
-        offsets = np.searchsorted(keys, np.arange(len(self.weights) + 1)).tolist()
-        flat = values.tolist()
-        return [flat[a:b] for a, b in zip(offsets, offsets[1:])]
-
-    @cached_property
-    def succ(self) -> list[list[int]]:
-        return self._lists(self.rows, self.cols)
-
-    @cached_property
-    def pred(self) -> list[list[int]]:
-        order = np.argsort(self.cols, kind="stable")
-        return self._lists(self.cols[order], self.rows[order])
-
-    @cached_property
-    def sccs(self) -> list[tuple[int, ...]]:
-        """Strongly connected components, members sorted, ordered by smallest
-        member: Kosaraju's two passes in O(n + m), a depth-first finish order
-        over ``succ``, then a sweep over ``pred``, latest finished first."""
-        succ = self.succ
-        seen = [False] * len(succ)
-        finished = []
-        for root in range(len(succ)):
-            if seen[root]:
-                continue
-            seen[root] = True
-            path = [(root, iter(succ[root]))]
-            while path:
-                v, targets = path[-1]
-                for u in targets:
-                    if not seen[u]:  # descend; v's remaining targets wait
-                        seen[u] = True
-                        path.append((u, iter(succ[u])))
-                        break
-                else:  # v is finished
-                    path.pop()
-                    finished.append(v)
-        return sorted(_sweep(self.pred, reversed(finished)))  # disjoint: by smallest member
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """labels[v] is the position of v's component in ``sccs``."""
-        labels = np.empty(len(self.weights), dtype=np.intp)
-        for k, members in enumerate(self.sccs):
-            labels[list(members)] = k
-        return labels
-
-    def shortest_path(self, source: int, target: int, avoid: int) -> list[int]:
-        """A shortest source ~> target path (source != target) that never
-        enters ``avoid``, by breadth-first search from ``source``: successors
-        are read in ascending order, each agent keeps the first agent that
-        reached it, and the search stops when it reaches ``target``.  That
-        is the path of networkx's ``bfs_predecessors`` on the support with
-        its edges inserted row-major, which the tests pin it to."""
-        reached_from = {source: None}
-        fringe = [source]
-        for a in fringe:  # the list grows while it is read
-            for b in self.succ[a]:
-                if b == avoid or b in reached_from:
-                    continue
-                reached_from[b] = a
-                if b == target:
-                    path = [b]
-                    while reached_from[path[-1]] is not None:
-                        path.append(reached_from[path[-1]])
-                    return path[::-1]
-                fringe.append(b)
-        raise ValueError(f"no path from {source} to {target} avoiding {avoid}")
-
-
-@lru_cache(maxsize=1)
-def _support(w: AllocationProfile) -> _Support:
-    """The support of ``w``, kept for the profile last asked about, so the
-    checks of one ``run_structure_checks`` call build it once.  Profiles
-    compare by identity and are read-only, and the cache holds its profile,
-    so an entry can never be served for another profile."""
-    return _Support(w)
 
 
 @dataclass(frozen=True)
@@ -159,13 +49,16 @@ def _require_sizes(
     centralities: np.ndarray | None = None,
 ) -> None:
     """Raise ValueError unless ``w`` is n x n and ``budgets`` and
-    ``centralities``, when given, hold one value per agent.  Budget
-    feasibility of ``w`` is not required: over-budget supports are analysed."""
+    ``centralities``, when given, hold one value per agent, the centralities
+    finite (a NaN would pass every check).  Budget feasibility of ``w`` is
+    not required: over-budget supports are analysed."""
     if w.n != n:
         raise ValueError(f"profile is {w.n}x{w.n} but instance has n={n}")
     for label, values in (("budgets", budgets), ("centralities", centralities)):
         if values is not None and np.shape(values) != (n,):
             raise ValueError(f"{label} has shape {np.shape(values)}, expected ({n},)")
+    if centralities is not None and not np.all(np.isfinite(centralities)):
+        raise ValueError("centralities must be finite")
 
 
 def scc_condensation(
@@ -180,7 +73,7 @@ def scc_condensation(
     ordered by smallest member, so the numbering is deterministic."""
     require_tol(centrality_tol)
     _require_sizes(w.n, w, budgets, centralities)
-    support = _support(w)
+    support = w.support
     # component edges and sinks in one pass over the support's edges
     tail, head = support.labels[support.rows], support.labels[support.cols]
     cross = tail != head
@@ -274,8 +167,7 @@ def check_complete_topology(
             witnesses.append(
                 {"agent": i + 1, "rule": "budget-exhaustion", "got": float(row_sums[i])}
             )
-    support = _support(w)
-    for i, j in zip(support.rows.tolist(), support.cols.tolist()):
+    for i, j in zip(w.support.rows.tolist(), w.support.cols.tolist()):
         if abs(g.budgets[j] - bm) > BUDGET_EQ_TOL:
             witnesses.append(
                 {"edge": [i + 1, j + 1], "rule": "target-max-budget", "target_budget": g.budgets[j]}
@@ -298,10 +190,9 @@ def check_hierarchy(
     if not g.topology.has_all_self_loops():
         return CheckResult(name, INAPPLICABLE, details={"reason": "not all agents have self-loops"})
     c = _centralities(w, centralities)
-    support = _support(w)
     witnesses = tuple(
         {"edge": [i + 1, j + 1], "c_source": float(c[i]), "c_target": float(c[j])}
-        for i, j in zip(support.rows.tolist(), support.cols.tolist())
+        for i, j in zip(w.support.rows.tolist(), w.support.cols.tolist())
         if c[i] > c[j] + tol
     )
     return CheckResult(name, PASS if not witnesses else FAIL, witnesses)
@@ -422,7 +313,7 @@ def _parity_two_paths(support: _Support) -> list[tuple[tuple[int, ...], np.ndarr
 def parity_classes(w: AllocationProfile) -> tuple[tuple[int, ...], ...]:
     """Parity classes (0-based, two or more agents each) of the support of
     ``w``: the partition the cycle-parity check tests for uniformity."""
-    return tuple(members for members, _ in _parity_two_paths(_support(w)))
+    return tuple(members for members, _ in _parity_two_paths(w.support))
 
 
 def check_cycle_parity(
@@ -446,8 +337,7 @@ def check_cycle_parity(
     if not g.topology.is_symmetric():
         return CheckResult(name, INAPPLICABLE, details={"reason": "underlying topology not symmetric"})
     c = _centralities(w, centralities)
-    support = _support(w)
-    classes = _parity_two_paths(support)
+    classes = _parity_two_paths(w.support)
     witnesses = []
     for members, rows in classes:
         for rule, values, bound in (
@@ -458,7 +348,7 @@ def check_cycle_parity(
             if vals.max() - vals.min() > bound:
                 u, v, x = rows[np.argmax(np.abs(values[rows[:, 0]] - values[rows[:, 2]]))].tolist()
                 # the worst 2-path, closed by a shortest x ~> u path avoiding v
-                back = support.shortest_path(x, u, avoid=v)
+                back = w.support.shortest_path(x, u, avoid=v)
                 witnesses.append(
                     {
                         "rule": rule,
@@ -481,8 +371,8 @@ def run_structure_checks(
     tol: float = DEFAULT_TOL,
 ) -> tuple[StructureReport, CondensationGraph]:
     """All applicable checks on one profile, sharing a single centrality solve
-    and, through the support cache, one support digraph with its strongly
-    connected components."""
+    and the profile's support digraph with its strongly connected
+    components."""
     require_tol(tol)
     _require_sizes(g.n, w)
     c = katz_solve(w)

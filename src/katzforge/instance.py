@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .support import _Support
+
 # Budgets are inputs and compared within this (max-budget classification,
 # structure checks); computed centralities use the game-level tolerance.
 BUDGET_EQ_TOL = 1e-12
@@ -174,7 +176,10 @@ class GameInstance:
 
 @dataclass(frozen=True, eq=False)
 class AllocationProfile:
-    """Strategy profile: nonnegative n-by-n weight matrix, row i owned by agent i."""
+    """Strategy profile: nonnegative n-by-n weight matrix, row i owned by agent i.
+
+    Read-only, so ``support``, the digraph of its positive entries, is built
+    on first use and freed with the profile."""
 
     weights: np.ndarray
 
@@ -196,6 +201,10 @@ class AllocationProfile:
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+    @cached_property
+    def support(self) -> _Support:
+        return _Support(self.weights)
 
 
 def is_feasible(g: GameInstance, w: AllocationProfile) -> bool:

@@ -24,7 +24,11 @@ Loads two source trees of the package side by side (as ``kf_parent`` and
 - ``katz_solve`` on two single-edge profiles, the terminal of the n=1000
   run from zero and the equilibrium policy of the n=2000 line, and on a
   multi-edge ``random_profile`` of the n=500 instance, whose centralities
-  must be identical on both sides.
+  must be identical on both sides;
+- ``is_nash`` and ``run_structure_checks`` on that terminal and that
+  ``random_profile``, each timed call building a fresh ``AllocationProfile``
+  of the weights, so that no state a side keeps per profile makes a repeat
+  free.  The verdicts, the reports and the condensations must be identical.
 
 The writers' traces are built once, with the change's ``run_brd``; only the
 timed call differs between the sides.  The ``random_profile`` and ``run_brd``
@@ -57,6 +61,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is first imported
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -297,23 +302,38 @@ def cases(parent, change, work: Path) -> dict:
         }
         out[f"equilibrium_centralities/{key}"] = ("equilibrium_centralities, default tol", calls, same_certificate)
 
-    g500 = zero_start(change, 500, 0.05)[0][0]
+    terminal = ("the terminal of the modified run from zero at n=1000", traces["zero-n1000-d0.02"][0].terminal.weights)
+    multi_edge = (
+        "random_profile(g, 1) of the n=500 instance, multi-edge",
+        change.random_profile(zero_start(change, 500, 0.05)[0][0], 1).weights,
+    )
     profiles = {
-        "zero-n1000-d0.02-terminal": (
-            "the terminal of the modified run from zero at n=1000",
-            traces["zero-n1000-d0.02"][0].terminal.weights,
-            same_centralities,
-        ),
+        "zero-n1000-d0.02-terminal": (*terminal, same_centralities),
         "line-n2000-policy": ("the equilibrium policy of the n=2000 line", line_policy(change, 2000), same_centralities),
-        "random-n500-d0.05": (
-            "random_profile(g, 1) of the n=500 instance, multi-edge",
-            change.random_profile(g500, 1).weights,
-            lambda a, b: identical(a.tobytes() == b.tobytes()),
-        ),
+        "random-n500-d0.05": (*multi_edge, lambda a, b: identical(a.tobytes() == b.tobytes())),
     }
     for key, (what, a, compare) in profiles.items():
         calls = {side: (lambda kf=kf, a=a: kf.katz_solve(a)) for side, kf in (("parent", parent), ("change", change))}
         out[f"katz_solve/{key}"] = (f"katz_solve on {what}", calls, compare)
+
+    def same_json(a, b) -> bool:
+        return json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+    def same_verdict(a, b):
+        return identical(same_json(a, b))
+
+    def same_analysis(a, b):  # (report, condensation) pairs
+        return identical(same_json(a[0], b[0]) and dataclasses.astuple(a[1]) == dataclasses.astuple(b[1]))
+
+    analysed = {"zero-n1000-d0.02-terminal": (1000, 0.02, *terminal), "random-n500-d0.05": (500, 0.05, *multi_edge)}
+    for key, (n, density, what, a) in analysed.items():
+        instances = {side: zero_start(kf, n, density)[0][0] for side, kf in (("parent", parent), ("change", change))}
+        for fn_name, compare in (("is_nash", same_verdict), ("run_structure_checks", same_analysis)):
+            calls = {
+                side: (lambda kf=kf, g=instances[side], fn=getattr(kf, fn_name), a=a: fn(g, kf.AllocationProfile(a)))
+                for side, kf in (("parent", parent), ("change", change))
+            }
+            out[f"{fn_name}/{key}"] = (f"{fn_name} on {what}, a fresh AllocationProfile per call", calls, compare)
     return out
 
 
@@ -349,7 +369,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"{name}: the parent's and the change's outputs differ "
                     f"(for run_brd: a decision, or a float by more than {CROSS_CHECK_TOL} or NaN; "
                     "for equilibrium_centralities: iterations, or c* by as much; for katz_solve: "
-                    "c by as much, or any bit of it on the multi-edge profile)"
+                    "c by as much, or any bit of it on the multi-edge profile; for is_nash and "
+                    "run_structure_checks: any bit of the verdict, the report or the condensation)"
                 )
             times = {"parent": [], "change": []}
             for r in range(args.repeats):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import re
+import weakref
 
 import networkx as nx
 import numpy as np
@@ -32,8 +34,9 @@ from katzforge import (
     scc_condensation,
     topology_from_edges,
 )
-from katzforge import analysis
-from katzforge.analysis import _parity_two_paths, _Support
+from katzforge import analysis, instance
+from katzforge.analysis import _parity_two_paths
+from katzforge.support import _Support
 from oracles import (
     bfs_path_nx,
     check_cycle_parity_nx,
@@ -404,7 +407,7 @@ class TestAgainstNetworkx:
             g, w, 1e-10, centralities=c
         )
 
-        support, digraph = _Support(w), support_digraph_nx(w)
+        support, digraph = w.support, support_digraph_nx(w)
         ours, theirs = _parity_two_paths(support), parity_two_paths_nx(digraph, w.weights)
         assert [members for members, _ in ours] == [members for members, _ in theirs]
         for (_, rows), (_, expected) in zip(ours, theirs):
@@ -512,6 +515,23 @@ class TestSizes:
             with pytest.raises(ValueError, match=message):
                 scc_condensation(i3_ne, i3.budgets, c)
 
+    def test_non_finite_centralities_rejected(self):
+        # agent 1 puts 0.9 on agent 2, agent 2 puts 0.1 on itself
+        g = complete_instance((0.9, 0.1))
+        w = AllocationProfile(np.array([[0.0, 0.9], [0.0, 0.1]]))
+        c = katz_solve(w)
+        assert c[0] > c[1] + 1e-10
+        assert check_hierarchy(g, w, centralities=c).status == "fail"
+        rules = [x["rule"] for x in check_complete_topology(g, w, centralities=c).witnesses]
+        assert rules.count("centrality") == 2
+        for bad in ([np.nan, np.nan], [1.0, np.inf], [-np.inf, 0.1]):
+            message = re.escape("centralities must be finite")
+            for check in self.CHECKS:
+                with pytest.raises(ValueError, match=message):
+                    check(g, w, centralities=np.array(bad))
+            with pytest.raises(ValueError, match=message):
+                scc_condensation(w, g.budgets, np.array(bad))
+
     def test_budgets_of_another_length_rejected(self, i3, i3_ne):
         for budgets in ((0.5,), (0.5, 0.25, 0.1)):
             with pytest.raises(ValueError, match=re.escape(f"budgets has shape ({len(budgets)},), expected (2,)")):
@@ -538,8 +558,8 @@ class TestTolerance:
 
 
 class TestSupportCache:
-    """The checks of one profile share one support, and no profile is ever
-    served another profile's support."""
+    """Each profile builds its support once, whatever reads it, and frees it
+    with itself; no profile is ever served another profile's support."""
 
     CHECKS = (
         "check_complete_topology",
@@ -549,15 +569,21 @@ class TestSupportCache:
         "scc_condensation",
     )
 
-    def test_one_support_and_each_public_check_once_per_call(self, monkeypatch):
+    @staticmethod
+    def count_supports(monkeypatch) -> list[np.ndarray]:
+        """The weights whose support is built from now on, in build order."""
         built = []
 
         class CountingSupport(_Support):
-            def __init__(self, w):
-                built.append(w)
-                super().__init__(w)
+            def __init__(self, weights):
+                built.append(weights)
+                super().__init__(weights)
 
-        monkeypatch.setattr(analysis, "_Support", CountingSupport)
+        monkeypatch.setattr(instance, "_Support", CountingSupport)
+        return built
+
+    def test_one_support_and_each_public_check_once_per_call(self, monkeypatch):
+        built = self.count_supports(monkeypatch)
         top_level, open_calls = [], []
 
         def counted(name, fn):
@@ -588,7 +614,7 @@ class TestSupportCache:
             built.clear()
             top_level.clear()
             run_structure_checks(g, w)
-            assert len(built) == 1 and built[0] is w
+            assert len(built) == 1 and built[0] is w.weights
             assert top_level == list(self.CHECKS)
 
     def test_alternating_profiles_match_the_oracles(self):
@@ -599,11 +625,11 @@ class TestSupportCache:
             c = [katz_solve(w) for w in profiles]
             oracles = []
             for w, cw in zip(profiles, c):
-                # checks without a networkx twin, each with an empty cache
-                fresh = []
-                for check in (check_complete_topology, check_hierarchy, check_scc_uniformity):
-                    analysis._support.cache_clear()
-                    fresh.append(check(g, w, 1e-10, centralities=cw))
+                # checks without a networkx twin, each on a copy of w with no support built
+                fresh = [
+                    check(g, AllocationProfile(w.weights), 1e-10, centralities=cw)
+                    for check in (check_complete_topology, check_hierarchy, check_scc_uniformity)
+                ]
                 oracles.append(
                     (
                         fresh,
@@ -626,3 +652,44 @@ class TestSupportCache:
                 assert report.checks == (*fresh, parity)
                 assert condensation == cond
 
+    def test_each_profile_builds_its_support_once(self, monkeypatch):
+        built = self.count_supports(monkeypatch)
+        g = complete_instance((0.5,) * 8)
+        profiles = (circulant_profile(g, 3, seed=1), find_ne(g))
+        for k in (0, 1, 0, 1, 1, 0):
+            w = profiles[k]
+            run_structure_checks(g, w)
+            for check in (check_complete_topology, check_hierarchy, check_scc_uniformity, check_cycle_parity):
+                check(g, w)
+            scc_condensation(w)
+            parity_classes(w)
+        assert len(built) == 2 and all(a is w.weights for a, w in zip(built, profiles))
+
+    def test_profile_is_freed_with_its_caller(self):
+        g = complete_instance((0.5,) * 8)  # every check applies and reads the support
+        calls = (
+            run_structure_checks,
+            check_complete_topology,
+            check_hierarchy,
+            check_scc_uniformity,
+            check_cycle_parity,
+            lambda g, w: scc_condensation(w),
+            lambda g, w: parity_classes(w),
+        )
+        for call in calls:
+            w = circulant_profile(g, 3, seed=1)
+            alive = weakref.ref(w)
+            call(g, w)
+            del w
+            gc.collect()
+            assert alive() is None
+
+    def test_shortest_path_with_no_route_raises(self):
+        # 0 -> 1 -> 2 and 0 -> 2: nothing reaches 0, and 0 ~> 2 avoiding 1 is the direct edge
+        w = AllocationProfile(np.array([[0.0, 0.2, 0.2], [0.0, 0.0, 0.2], [0.0, 0.0, 0.0]]))
+        assert w.support.shortest_path(0, 2, avoid=1) == [0, 2]
+        with pytest.raises(ValueError, match=re.escape("no path from 2 to 0 avoiding 1")):
+            w.support.shortest_path(2, 0, avoid=1)
+        w = AllocationProfile(np.array([[0.0, 0.2, 0.0], [0.0, 0.0, 0.2], [0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match=re.escape("no path from 0 to 2 avoiding 1")):
+            w.support.shortest_path(0, 2, avoid=1)

@@ -200,6 +200,12 @@ class TestWalkDecomposition:
         with pytest.raises(FeasibilityError):
             walk_decomposition(i2, w, 0)
 
+    def test_first_visit_sum_at_or_past_one_over_budget_raises(self, i2):
+        # q_j B_i >= 1 for agent 1's only neighbor: no feasible profile gives it
+        for q_j, denom in ((2.0, "0.0"), (3.0, "-0.5")):
+            with pytest.raises(FeasibilityError, match=f"1 - q\\*B = {denom} for neighbor 2 of agent 1;"):
+                katzforge.centrality._decomposition(i2, 0, np.array([1.0, q_j]), np.zeros(2))
+
     def test_against_literal_enumeration_and_series(self):
         # recursive path enumeration validates the per-length series, whose
         # depth-60 accumulation then validates the linear-solve route
